@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .contfrac import ContinuedFraction
-from .errors import ExactnessExhausted, NotBrjuno, RationalDetected
+from .contfrac import ContinuedFraction, FiniteTail
+from .errors import (DepthExhausted, ExactnessExhausted, NotBrjuno,
+                     RationalDetected)
 from .levelindex import ZERO, LevelReal
 
 _GUARD = 1e-9  # decision guard band (absolute at level 0, mantissa above)
@@ -60,16 +61,8 @@ def diophantine_estimate(cf: ContinuedFraction, sigma: float,
         raise ValueError("depth must be >= 2")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    values = []
-    try:
-        alo, ahi = cf.shifted_value_bracket(0)
-        exact_alpha = True
-    except RationalDetected:
-        raise
-    for k in range(1, depth + 1):
-        v = _dioph_value(cf, k, sigma, alo if exact_alpha else None,
-                         ahi if exact_alpha else None)
-        values.append(v)
+    alo, ahi = cf.shifted_value_bracket(0)
+    values = [_dioph_value(cf, k, sigma, alo, ahi) for k in range(1, depth + 1)]
     gamma_hat = min(v for v in values if math.isfinite(v))
     attained = values.index(gamma_hat) + 1
     certified = (depth >= 5 and gamma_hat > 0.0
@@ -194,8 +187,9 @@ def brjuno_interval(cf: ContinuedFraction, n: int, depth: int,
         term1 = l_next_hi.mul_exp_neg(s_lo).to_float()
         term2 = LevelReal.from_float(b_cap).mul_exp_neg(
             s_lo.add(l_next_lo)).to_float()
-    except Exception:
-        term1 = term2 = 0.0
+    except (DepthExhausted, ExactnessExhausted, RationalDetected):
+        # no data past the window: the allowance widens, never shrinks
+        term1 = term2 = math.inf
     tail = term1 + term2 + _TAIL_FLOOR
     if not math.isfinite(tail):
         tail = 1e300
@@ -375,7 +369,11 @@ def classify(cf: ContinuedFraction,
     Verdict-order consistency is enforced: a certified Diophantine pass
     demotes a fail_at answer for the linearization condition to inconclusive
     (at equal truncation depths the strict class order admits no such pair,
-    so one of the heuristics must have been fooled)."""
+    so one of the heuristics must have been fooled).
+
+    A finite fraction is rational: RationalDetected is raised up front."""
+    if isinstance(cf.tail, FiniteTail):
+        raise RationalDetected("a finite continued fraction is rational")
     dio = diophantine_estimate(cf, config.sigma, config.diophantine_depth)
     bs = brjuno_sum(cf, config.brjuno_depth, config.divergence_window,
                     config.divergence_threshold)

@@ -97,12 +97,17 @@ def rotation(alpha: float) -> AnalyticCircleMap:
     return AnalyticCircleMap(alpha)
 
 
+def family_from_json(fam: dict) -> "ArnoldFamily":
+    """The family a JSON config names; the Arnold family is the only kind."""
+    if fam.get("kind") != "arnold":
+        raise ValueError(f"unknown family kind {fam.get('kind')!r}")
+    return ArnoldFamily(float(fam["b"]))
+
+
 def map_from_json(obj: dict) -> AnalyticCircleMap:
     fam = obj.get("family")
     if fam is not None:
-        if fam.get("kind") != "arnold":
-            raise ValueError(f"unknown family kind {fam.get('kind')!r}")
-        return ArnoldFamily(float(fam["b"])).map_at(float(fam["a"]))
+        return family_from_json(fam).map_at(float(fam["a"]))
     modes = obj.get("modes", [])
     deg = max((int(m["k"]) for m in modes), default=0)
     coeffs = np.zeros(deg, complex)

@@ -2,7 +2,8 @@
 
 Every module is exposed as a subcommand with a JSON config, optional flag
 overrides, and CSV/JSON outputs carrying the fully resolved config for
-provenance.  Exit codes make sweeps scriptable: 0 computed a positive
+provenance; validation, flags and defaults all derive from one spec per
+subcommand.  Exit codes make sweeps scriptable: 0 computed a positive
 verdict, 2 computed a negative one (diverged, fail_at, rational rotation
 number, unreachable target), 1 means the computation itself failed.
 
@@ -15,15 +16,17 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import inspect
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .arithmetic import ClassifyConfig, classify
-from .circlemap import AnalyticCircleMap, ArnoldFamily, map_from_json
+from .circlemap import ArnoldFamily, family_from_json, map_from_json
 from .contfrac import ContinuedFraction
-from .errors import (CircleLabError, NotBrjuno, PeriodicOrbitDetected,
-                     TargetUnreachable)
+from .errors import (CircleLabError, NotBrjuno, NotDiffeomorphism,
+                     PeriodicOrbitDetected, RationalDetected, TargetUnreachable)
 from .geometry import bootstrap_schedule, geometry_report
 from .kam import KamConfig, kam_iterate
 from .rotation import (rotation_number_birkhoff,
@@ -35,23 +38,7 @@ EXIT_NEGATIVE = 2
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
-
-
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _load_target(cfg: dict) -> ContinuedFraction:
-    return ContinuedFraction.from_json(cfg["target"])
-
-
-def _load_map(cfg: dict) -> AnalyticCircleMap:
-    return map_from_json(cfg["map"])
+    return str(int(v)) if isinstance(v, int) else format(float(v), ".17g")
 
 
 def _splitmix01(seed: int, idx: int) -> float:
@@ -62,266 +49,197 @@ def _splitmix01(seed: int, idx: int) -> float:
     return (x & ((1 << 53) - 1)) / float(1 << 53)
 
 
-# ---------------------------------------------------------------------------
-# config validation
+# -- one spec per subcommand -------------------------------------------------
+
+_F = (float, int)  # a float key also accepts an int
+_CAST = {_F: float, int: int, list: tuple}
 
 
-_SCHEMAS = {
-    "classify": {
-        "target": dict,
-        "classify.sigma": (float, int),
-        "classify.diophantine_depth": int,
-        "classify.brjuno_depth": int,
-        "classify.h_m_max": int,
-        "classify.h_k_max": int,
-        "classify.h_b_depth": int,
-        "classify.b_cap": (float, int),
-    },
-    "rotnum": {
-        "map": dict,
-        "rotnum.x0": (float, int),
-        "rotnum.n": int,
-        "rotnum.depth": int,
-        "rotnum.n_max": int,
-    },
-    "tune": {
-        "family": dict,
-        "target": dict,
-        "tune.tol": (float, int),
-    },
-    "kam": {
-        "target": dict,
-        "kam.nu0": (float, int),
-        "kam.max_steps": int,
-        "kam.divisor_floor": (float, int),
-        "kam.threshold": (float, int),
-        "kam.tune_tol": (float, int),
-    },
-    "geometry": {
-        "geometry.n_max": int,
-        "geometry.grid": int,
-        "geometry.smoothness": int,
-    },
-    "tongue-scan": {
-        "scan.a_min": (float, int),
-        "scan.a_max": (float, int),
-        "scan.na": int,
-        "scan.b_min": (float, int),
-        "scan.b_max": (float, int),
-        "scan.nb": int,
-        "scan.n_max": int,
-        "scan.burn_in": int,
-    },
-    "bootstrap": {
-        "bootstrap.r": (float, int),
-        "bootstrap.sigma": (float, int),
-        "bootstrap.gamma0": (float, int),
-        "bootstrap.steps": int,
-    },
-}
+def _lib(owner, **types) -> dict:
+    """key -> (accepted types, default), the default read off `owner`."""
+    params = inspect.signature(owner).parameters
+    return {k: (t, params[k].default) for k, t in types.items()}
 
-_REQUIRED = {
-    "classify": ["target"],
-    "rotnum": ["map"],
-    "tune": ["family", "target"],
-    "kam": ["target"],
-    "geometry": [],
-    "tongue-scan": [],
-    "bootstrap": [],
+
+class _Spec(NamedTuple):
+    help: str
+    need: tuple     # required top-level sections; "a|b" is met by either
+    section: str    # the config section holding the keys
+    keys: dict      # key -> (accepted types, default)
+    flags: dict     # override flag -> key
+
+
+_SPECS = {
+    "classify": _Spec(
+        "arithmetic verdict for a number", ("target",), "classify",
+        _lib(ClassifyConfig, sigma=_F, diophantine_depth=int, brjuno_depth=int,
+             h_m_max=int, h_k_max=int, h_b_depth=int, b_cap=_F),
+        {"depth": "diophantine_depth", "sigma": "sigma"}),
+    "rotnum": _Spec(
+        "both rotation-number estimators", ("map",), "rotnum",
+        {**_lib(rotation_number_birkhoff, x0=_F, n=int), **_lib(
+            rotation_number_closest_return, depth=int, n_max=int, burn_in=int)},
+        {"nmax": "n_max", "depth": "depth"}),
+    "tune": _Spec(
+        "family parameter to a target number", ("family", "target"), "tune",
+        _lib(tune_parameter, tol=_F), {"tol": "tol"}),
+    "kam": _Spec(
+        "full linearization run: trace + verdict", ("target", "map|family"), "kam",
+        {**_lib(KamConfig, nu0=_F, max_steps=int, divisor_floor=_F, threshold=_F,
+                base_truncation=int, truncations=list, strips=list),
+         "tune_tol": (_F, 1e-11)},
+        {"tol": "tune_tol", "nu0": "nu0"}),
+    "geometry": _Spec(
+        "multi-level partition report", ("map|family", "map|target"), "geometry",
+        {"n_max": (int, 6), **_lib(geometry_report, grid=int, smoothness=int),
+         "tune_tol": (_F, 1e-11)},
+        {"nmax": "n_max"}),
+    "tongue-scan": _Spec(
+        "rho over an (a, b) grid", (), "scan",
+        {"a_min": (_F, 0.0), "a_max": (_F, 1.0), "na": (int, 50),
+         "b_min": (_F, 0.0), "b_max": (_F, 0.95), "nb": (int, 20),
+         "n_max": (int, 400), "burn_in": (int, 256)}, {"nmax": "n_max"}),
+    "bootstrap": _Spec(
+        "regularity bootstrap schedule", (), "bootstrap",
+        {"r": (_F, 5.0), "sigma": (_F, 0.0), "gamma0": (_F, 0.0), "steps": (int, 60)},
+        {}),
 }
 
 
-def _get_path(cfg: dict, dotted: str):
-    cur = cfg
-    for part in dotted.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            return None
-        cur = cur[part]
-    return cur
+def _resolve(spec: _Spec, cfg: dict) -> dict:
+    """The config section, defaults filled in, cast to each key's type."""
+    sec = cfg.get(spec.section) or {}
+    return {k: d if sec.get(k) is None else _CAST[t](sec[k])
+            for k, (t, d) in spec.keys.items()}
+
+
+def _kam_config(k: dict, alpha_cf=None) -> KamConfig:
+    return KamConfig(alpha_cf, **{n: v for n, v in k.items() if n != "tune_tol"})
 
 
 def validate_config(subcommand: str, cfg: dict) -> list[str]:
     """Aggregated schema and cross-field violations, with field paths."""
-    out = []
-    if subcommand not in _SCHEMAS:
+    spec = _SPECS.get(subcommand)
+    if spec is None:
         return [f"unknown subcommand {subcommand!r}"]
-    for need in _REQUIRED[subcommand]:
-        if _get_path(cfg, need) is None:
-            out.append(f"{need}: required section missing")
-    for dotted, types in _SCHEMAS[subcommand].items():
-        val = _get_path(cfg, dotted)
-        if val is not None and not isinstance(val, types):
-            out.append(f"{dotted}: expected {types}, got {type(val).__name__}")
-    fam = cfg.get("family") or (cfg.get("map", {}) or {}).get("family")
-    if fam is not None:
-        if fam.get("kind") != "arnold":
-            out.append("family.kind: only 'arnold' is known")
-        b = fam.get("b")
-        if isinstance(b, (int, float)) and not abs(b) < 1.0:
-            out.append("family.b: |b| >= 1 is not a diffeomorphism")
-    tgt = cfg.get("target")
-    if tgt is not None and isinstance(tgt, dict):
+    out = [f"{need.replace('|', ' or ')}: required section missing"
+           for need in spec.need if all(cfg.get(s) is None for s in need.split("|"))]
+    sec = cfg.get(spec.section)
+    names = [s for need in spec.need for s in need.split("|")] + [spec.section]
+    typed = [(s, cfg.get(s), dict) for s in dict.fromkeys(names)]
+    if isinstance(sec, dict):
+        typed += [(f"{spec.section}.{k}", sec.get(k), t)
+                  for k, (t, _) in spec.keys.items()]
+    wrong = [f"{path}: expected {t}, got {type(v).__name__}"
+             for path, v, t in typed if v is not None and not isinstance(v, t)]
+    out += wrong
+    m = cfg.get("map")
+    fam = cfg.get("family") or (m.get("family") if isinstance(m, dict) else None)
+    if isinstance(fam, dict):
         try:
-            ContinuedFraction.from_json(tgt)
+            family_from_json(fam)
+        except NotDiffeomorphism:
+            out.append("family.b: |b| >= 1 is not a diffeomorphism")
+        except (KeyError, TypeError, ValueError) as e:
+            out.append(f"family: {e}")
+    if isinstance(cfg.get("target"), dict):
+        try:
+            ContinuedFraction.from_json(cfg["target"])
         except Exception as e:
             out.append(f"target: {e}")
+    if wrong:
+        return out  # the cross-field checks below need well-typed values
+    s = _resolve(spec, cfg)
     if subcommand == "kam":
-        kam = cfg.get("kam", {})
-        try:
-            kc = KamConfig(
-                alpha_cf=ContinuedFraction.golden(),
-                nu0=float(kam.get("nu0", 0.02)),
-                max_steps=int(kam.get("max_steps", 14)),
-                divisor_floor=float(kam.get("divisor_floor", 1e-8)),
-                threshold=float(kam.get("threshold", 1e-11)),
-                strips=tuple(kam["strips"]) if "strips" in kam else None,
-                truncations=tuple(kam["truncations"])
-                if "truncations" in kam else None,
-            )
-            out.extend(f"kam: {v}" for v in kc.violations())
+        try:  # violations() reads only the schedules, not the target
+            out.extend(f"kam: {v}" for v in _kam_config(s).violations())
         except Exception as e:
             out.append(f"kam: {e}")
-    if subcommand == "tongue-scan":
-        scan = cfg.get("scan", {})
-        if float(scan.get("b_max", 0.95)) >= 1.0:
+    elif subcommand == "tongue-scan":
+        if s["b_max"] >= 1.0:
             out.append("scan.b_max: must stay below 1")
-        if int(scan.get("na", 50)) < 1 or int(scan.get("nb", 20)) < 1:
+        if s["na"] < 1 or s["nb"] < 1:
             out.append("scan.na/nb: grid must be nonempty")
-    if subcommand == "bootstrap":
-        bs = cfg.get("bootstrap", {})
-        r = float(bs.get("r", 5.0))
-        sigma = float(bs.get("sigma", 0.0))
-        if r <= 2.0 + sigma:
-            out.append("bootstrap.r: window empty, needs r > 2 + sigma")
+    elif subcommand == "bootstrap" and s["r"] <= 2.0 + s["sigma"]:
+        out.append("bootstrap.r: window empty, needs r > 2 + sigma")
     return out
 
 
-# ---------------------------------------------------------------------------
-# subcommand runners
+# -- subcommand runners ------------------------------------------------------
+# each takes the raw config, its resolved section and the parsed arguments,
+# and returns (exit code, JSON file name, payload)
+
+def _map(cfg: dict, tune_tol: float):
+    """The configured map, or the family member tuned to the target."""
+    if cfg.get("map") is not None:
+        return map_from_json(cfg["map"])
+    family = family_from_json(cfg["family"])
+    a, _ = tune_parameter(family, ContinuedFraction.from_json(cfg["target"]),
+                          tol=tune_tol)
+    return family.map_at(a)
 
 
-def run_classify(cfg: dict, out_dir: Path) -> int:
-    c = cfg.get("classify", {})
-    conf = ClassifyConfig(
-        sigma=float(c.get("sigma", 0.0)),
-        diophantine_depth=int(c.get("diophantine_depth", 30)),
-        brjuno_depth=int(c.get("brjuno_depth", 40)),
-        h_m_max=int(c.get("h_m_max", 10)),
-        h_k_max=int(c.get("h_k_max", 20)),
-        h_b_depth=int(c.get("h_b_depth", 40)),
-        b_cap=float(c.get("b_cap", 50.0)),
-    )
-    verdict = classify(_load_target(cfg), conf)
-    payload = {"verdict": verdict.to_json(), "config": cfg}
-    _write_json(out_dir / "classify.json", payload)
+def run_classify(cfg: dict, c: dict, args) -> tuple:
+    target = ContinuedFraction.from_json(cfg["target"])
+    try:
+        verdict = classify(target, ClassifyConfig(**c))
+    except RationalDetected:  # a finite fraction is its last convergent
+        p, q = target.convergent(len(target.to_json()["quotients"]))
+        return EXIT_NEGATIVE, "classify.json", {"rational": {"p": p, "q": q}}
     h = verdict.condition_h
     negative = verdict.brjuno.diverging or (h is not None and h.kind == "fail_at")
-    return EXIT_NEGATIVE if negative else EXIT_OK
+    return (EXIT_NEGATIVE if negative else EXIT_OK, "classify.json",
+            {"verdict": verdict.to_json()})
 
 
-def run_rotnum(cfg: dict, out_dir: Path) -> int:
-    r = cfg.get("rotnum", {})
-    f = _load_map(cfg)
-    x0 = float(r.get("x0", 0.0))
-    code = EXIT_OK
+def run_rotnum(cfg: dict, r: dict, args) -> tuple:
+    f = map_from_json(cfg["map"])
     try:
-        bk = rotation_number_birkhoff(f, x0, int(r.get("n", 1000)))
-        cr = rotation_number_closest_return(
-            f, x0, int(r.get("depth", 12)), int(r.get("n_max", 100000)),
-            burn_in=int(r.get("burn_in", 0)))
-        payload = {
-            "birkhoff": {"value": bk.value, "error_bound": bk.error_bound,
-                         "n": bk.n},
-            "closest_return": {
-                "value": cr.value, "error_bound": cr.error_bound,
-                "n": cr.n, "method": cr.method,
-                "quotients": list(cr.extracted_quotients or ())},
-        }
+        bk = rotation_number_birkhoff(f, r["x0"], r["n"])
+        cr = rotation_number_closest_return(f, r["x0"], r["depth"], r["n_max"],
+                                            burn_in=r["burn_in"])
     except PeriodicOrbitDetected as po:
-        payload = {"rational": {"p": po.p, "q": po.q,
-                                "value": (po.p / po.q) % 1.0}}
-        code = EXIT_NEGATIVE
-    payload["config"] = cfg
-    _write_json(out_dir / "rotnum.json", payload)
-    return code
+        return EXIT_NEGATIVE, "rotnum.json", {"rational": {
+            "p": po.p, "q": po.q, "value": (po.p / po.q) % 1.0}}
+    return EXIT_OK, "rotnum.json", {
+        "birkhoff": {"value": bk.value, "error_bound": bk.error_bound, "n": bk.n},
+        "closest_return": {"value": cr.value, "error_bound": cr.error_bound,
+                           "n": cr.n, "method": cr.method,
+                           "quotients": list(cr.extracted_quotients or ())}}
 
 
-def _family_from(cfg: dict) -> ArnoldFamily:
-    fam = cfg["family"]
-    if fam.get("kind") != "arnold":
-        raise ValueError(f"unknown family kind {fam.get('kind')!r}")
-    return ArnoldFamily(float(fam["b"]))
-
-
-def run_tune(cfg: dict, out_dir: Path) -> int:
-    t = cfg.get("tune", {})
-    code = EXIT_OK
+def run_tune(cfg: dict, t: dict, args) -> tuple:
     try:
-        a, est = tune_parameter(_family_from(cfg), _load_target(cfg),
-                                tol=float(t.get("tol", 1e-10)))
-        payload = {"a": a, "rho": est.value, "error_bound": est.error_bound,
-                   "quotients": list(est.extracted_quotients or ())}
+        a, est = tune_parameter(family_from_json(cfg["family"]),
+                                ContinuedFraction.from_json(cfg["target"]),
+                                tol=t["tol"])
     except TargetUnreachable as e:
-        payload = {"unreachable": str(e)}
-        code = EXIT_NEGATIVE
-    payload["config"] = cfg
-    _write_json(out_dir / "tune.json", payload)
-    return code
+        return EXIT_NEGATIVE, "tune.json", {"unreachable": str(e)}
+    return EXIT_OK, "tune.json", {
+        "a": a, "rho": est.value, "error_bound": est.error_bound,
+        "quotients": list(est.extracted_quotients or ())}
 
 
-def run_kam(cfg: dict, out_dir: Path) -> int:
-    k = cfg.get("kam", {})
-    target = _load_target(cfg)
-    if "map" in cfg:
-        f = _load_map(cfg)
-    else:
-        a, _ = tune_parameter(_family_from(cfg), target,
-                              tol=float(k.get("tune_tol", 1e-11)))
-        f = _family_from(cfg).map_at(a)
-    conf = KamConfig(
-        alpha_cf=target,
-        nu0=float(k.get("nu0", 0.02)),
-        base_truncation=k.get("base_truncation"),
-        truncations=tuple(k["truncations"]) if "truncations" in k else None,
-        strips=tuple(k["strips"]) if "strips" in k else None,
-        max_steps=int(k.get("max_steps", 14)),
-        divisor_floor=float(k.get("divisor_floor", 1e-8)),
-        threshold=float(k.get("threshold", 1e-11)),
-    )
+def run_kam(cfg: dict, k: dict, args) -> tuple:
+    f = _map(cfg, k["tune_tol"])
+    conf = _kam_config(k, ContinuedFraction.from_json(cfg["target"]))
     res = kam_iterate(f, conf)
-    (out_dir / "kam_trace.csv").write_text(res.trace.to_csv())
-    resolved = {"nu0": conf.nu0, "max_steps": conf.max_steps,
-                "divisor_floor": conf.divisor_floor,
-                "threshold": conf.threshold,
-                "base_truncation": conf.base_truncation,
-                "strips": [conf.nu_at(n) for n in range(conf.max_steps + 1)]}
-    _write_json(out_dir / "kam.json", {
-        "verdict": res.verdict, "note": res.trace.note,
-        "defect": res.trace.defect,
-        "decay_exponent": res.trace.decay_exponent,
-        "steps": len(res.trace.steps), "config": cfg,
-        "resolved": resolved})
-    return EXIT_OK if res.verdict == "linearized" else EXIT_NEGATIVE
+    (args.out / "kam_trace.csv").write_text(res.trace.to_csv())
+    # the strip schedule the run used, whether configured or defaulted
+    strips = [conf.nu_at(n) for n in range(conf.max_steps + 1)]
+    t = res.trace
+    return (EXIT_OK if res.verdict == "linearized" else EXIT_NEGATIVE, "kam.json",
+            {"verdict": res.verdict, "note": t.note, "defect": t.defect,
+             "decay_exponent": t.decay_exponent, "steps": len(t.steps),
+             "resolved": {**k, "strips": strips}})
 
 
-def run_geometry(cfg: dict, out_dir: Path) -> int:
-    g = cfg.get("geometry", {})
-    if "map" in cfg:
-        f = _load_map(cfg)
-    else:
-        a, _ = tune_parameter(_family_from(cfg), _load_target(cfg),
-                              tol=float(g.get("tune_tol", 1e-11)))
-        f = _family_from(cfg).map_at(a)
-    n_max = int(g.get("n_max", 6))
-    smooth = int(g.get("smoothness", 3))
-    grid = int(g.get("grid", 4096))
-    rep = geometry_report(f, n_max=n_max, smoothness=smooth, grid=grid)
-    (out_dir / "geometry.csv").write_text(rep.to_csv())
-    summary = rep.to_json_summary()
-    summary["config"] = cfg
-    summary["resolved"] = {"n_max": n_max, "smoothness": smooth, "grid": grid}
-    _write_json(out_dir / "geometry.json", summary)
-    return EXIT_OK
+def run_geometry(cfg: dict, g: dict, args) -> tuple:
+    f = _map(cfg, g["tune_tol"])
+    rep = geometry_report(f, n_max=g["n_max"], smoothness=g["smoothness"],
+                          grid=g["grid"])
+    (args.out / "geometry.csv").write_text(rep.to_csv())
+    return EXIT_OK, "geometry.json", rep.to_json_summary()
 
 
 def _tongue_cell(args) -> tuple:
@@ -335,112 +253,55 @@ def _tongue_cell(args) -> tuple:
         return (ia, ib, a, b, (po.p / po.q) % 1.0, True, 0.0)
 
 
-def run_tongue_scan(cfg: dict, out_dir: Path, workers: int, seed: int) -> int:
-    s = cfg.get("scan", {})
-    na, nb = int(s.get("na", 50)), int(s.get("nb", 20))
-    a0, a1 = float(s.get("a_min", 0.0)), float(s.get("a_max", 1.0))
-    b0, b1 = float(s.get("b_min", 0.0)), float(s.get("b_max", 0.95))
-    n_max = int(s.get("n_max", 400))
-    burn_in = int(s.get("burn_in", 256))
-    cells = []
-    for ia in range(na):
-        for ib in range(nb):
-            a = a0 + (a1 - a0) * ia / max(na - 1, 1)
-            b = b0 + (b1 - b0) * ib / max(nb - 1, 1)
-            x0 = _splitmix01(seed, ia * nb + ib)
-            cells.append((ia, ib, a, b, n_max, burn_in, x0))
+def run_tongue_scan(cfg: dict, s: dict, args) -> tuple:
+    na, nb, workers = s["na"], s["nb"], args.workers
+    a0, a1, b0, b1 = s["a_min"], s["a_max"], s["b_min"], s["b_max"]
+    cells = [(ia, ib, a0 + (a1 - a0) * ia / max(na - 1, 1),
+              b0 + (b1 - b0) * ib / max(nb - 1, 1), s["n_max"], s["burn_in"],
+              _splitmix01(args.seed, ia * nb + ib))
+             for ia in range(na) for ib in range(nb)]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_tongue_cell, cells,
                                chunksize=max(1, len(cells) // (4 * workers))))
     else:
         rows = [_tongue_cell(c) for c in cells]
-    lines = ["ia,ib,a,b,rho,locked,err_bound"]
-    for ia, ib, a, b, rho, locked, err in rows:
-        lines.append(",".join([str(ia), str(ib), _fmt(a), _fmt(b), _fmt(rho),
-                               _fmt(locked), _fmt(err)]))
-    (out_dir / "tongues.csv").write_text("\n".join(lines) + "\n")
-    _write_json(out_dir / "tongues.json",
-                {"cells": len(rows), "workers": workers, "seed": seed,
-                 "config": cfg})
-    return EXIT_OK
+    lines = ["ia,ib,a,b,rho,locked,err_bound"] + [",".join(map(_fmt, r))
+                                                  for r in rows]
+    (args.out / "tongues.csv").write_text("\n".join(lines) + "\n")
+    return EXIT_OK, "tongues.json", {"cells": len(rows), "workers": workers,
+                                     "seed": args.seed}
 
 
-def run_bootstrap(cfg: dict, out_dir: Path) -> int:
-    b = cfg.get("bootstrap", {})
-    sched = bootstrap_schedule(float(b.get("r", 5.0)),
-                               float(b.get("sigma", 0.0)),
-                               float(b.get("gamma0", 0.0)),
-                               int(b.get("steps", 60)))
+def run_bootstrap(cfg: dict, b: dict, args) -> tuple:
+    sched = bootstrap_schedule(**b)
     lines = ["k,gamma"] + [f"{k},{_fmt(g)}" for k, g in enumerate(sched)]
-    (out_dir / "bootstrap.csv").write_text("\n".join(lines) + "\n")
-    _write_json(out_dir / "bootstrap.json",
-                {"limit": sched[-1], "steps": len(sched) - 1, "config": cfg})
-    return EXIT_OK
+    (args.out / "bootstrap.csv").write_text("\n".join(lines) + "\n")
+    return EXIT_OK, "bootstrap.json", {"limit": sched[-1], "steps": len(sched) - 1}
 
 
-# ---------------------------------------------------------------------------
-# argument plumbing
-
+# -- argument plumbing -------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="circlelab",
-        description="batch experiments on circle-diffeomorphism linearization")
+    p = argparse.ArgumentParser(prog="circlelab", description=(
+        "batch experiments on circle-diffeomorphism linearization"))
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", type=Path, default=None)
-        sp.add_argument("--out", type=Path, default=Path("."))
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
+    def common(cmd, help):
+        sp = sub.add_parser(cmd, help=help)
+        for flag, t, default in (("--config", Path, None), ("--out", Path, Path(".")),
+                                 ("--workers", int, 1), ("--seed", int, 0)):
+            sp.add_argument(flag, type=t, default=default)
+        return sp
 
-    sp = sub.add_parser("classify", help="arithmetic verdict for a number")
-    common(sp)
-    sp.add_argument("--depth", type=int, help="diophantine depth override")
-    sp.add_argument("--sigma", type=float)
-    sp = sub.add_parser("rotnum", help="both rotation-number estimators")
-    common(sp)
-    sp.add_argument("--nmax", type=int)
-    sp.add_argument("--depth", type=int)
-    sp = sub.add_parser("tune", help="family parameter to a target number")
-    common(sp)
-    sp.add_argument("--tol", type=float)
-    sp = sub.add_parser("kam", help="full linearization run: trace + verdict")
-    common(sp)
-    sp.add_argument("--tol", type=float, help="tuning tolerance override")
-    sp.add_argument("--nu0", type=float)
-    sp = sub.add_parser("geometry", help="multi-level partition report")
-    common(sp)
-    sp.add_argument("--nmax", type=int, help="number of partition levels")
-    sp = sub.add_parser("tongue-scan", help="rho over an (a, b) grid")
-    common(sp)
-    sp.add_argument("--nmax", type=int)
-    sp = sub.add_parser("bootstrap", help="regularity bootstrap schedule")
-    common(sp)
-    sp = sub.add_parser("validate", help="schema-check a config, no side effects")
-    common(sp)
+    for cmd, spec in _SPECS.items():
+        sp = common(cmd, spec.help)
+        for flag, key in spec.flags.items():
+            sp.add_argument(f"--{flag}", type=_CAST[spec.keys[key][0]],
+                            help=f"overrides {spec.section}.{key}")
+    sp = common("validate", "schema-check a config, no side effects")
     sp.add_argument("subcommand", help="which schema to validate against")
     return p
-
-
-def _apply_overrides(cmd: str, args, cfg: dict) -> dict:
-    over = {
-        "classify": [("depth", ("classify", "diophantine_depth")),
-                     ("sigma", ("classify", "sigma"))],
-        "rotnum": [("nmax", ("rotnum", "n_max")), ("depth", ("rotnum", "depth"))],
-        "tune": [("tol", ("tune", "tol"))],
-        "kam": [("tol", ("kam", "tune_tol")), ("nu0", ("kam", "nu0"))],
-        "geometry": [("nmax", ("geometry", "n_max"))],
-        "tongue-scan": [("nmax", ("scan", "n_max"))],
-        "bootstrap": [],
-        "validate": [],
-    }
-    for attr, (sec, key) in over.get(cmd, []):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg.setdefault(sec, {})[key] = val
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -452,44 +313,34 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as e:
             print(f"config: {e}", file=sys.stderr)
             return EXIT_ERROR
-    cfg = _apply_overrides(args.cmd, args, cfg)
     if args.cmd == "validate":
         violations = validate_config(args.subcommand, cfg)
         print(json.dumps({"violations": violations}, indent=2))
         return EXIT_OK if not violations else EXIT_ERROR
+    spec = _SPECS[args.cmd]
+    for flag, key in spec.flags.items():
+        if getattr(args, flag) is not None:
+            cfg.setdefault(spec.section, {})[key] = getattr(args, flag)
     violations = validate_config(args.cmd, cfg)
     if violations:
         for v in violations:
             print(f"config violation: {v}", file=sys.stderr)
         return EXIT_ERROR
-    out_dir = args.out
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     cfg.setdefault("seed", args.seed)
+    resolved = _resolve(spec, cfg)
+    # looked up at call time, so a runner rebound on the module is the one run
+    run = {"classify": run_classify, "rotnum": run_rotnum, "tune": run_tune,
+           "kam": run_kam, "geometry": run_geometry,
+           "tongue-scan": run_tongue_scan, "bootstrap": run_bootstrap}[args.cmd]
     try:
-        if args.cmd == "classify":
-            return run_classify(cfg, out_dir)
-        if args.cmd == "rotnum":
-            return run_rotnum(cfg, out_dir)
-        if args.cmd == "tune":
-            return run_tune(cfg, out_dir)
-        if args.cmd == "kam":
-            return run_kam(cfg, out_dir)
-        if args.cmd == "geometry":
-            return run_geometry(cfg, out_dir)
-        if args.cmd == "tongue-scan":
-            return run_tongue_scan(cfg, out_dir, args.workers, args.seed)
-        if args.cmd == "bootstrap":
-            return run_bootstrap(cfg, out_dir)
-    except NotBrjuno as e:
-        print(f"NotBrjuno: {e}", file=sys.stderr)
-        return EXIT_NEGATIVE
-    except CircleLabError as e:
+        code, name, payload = run(cfg, resolved, args)
+    except (CircleLabError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as e:
-        print(f"ValueError: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_ERROR
+        return EXIT_NEGATIVE if isinstance(e, NotBrjuno) else EXIT_ERROR
+    payload = {"config": cfg, "resolved": resolved, **payload}
+    (args.out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -261,10 +261,6 @@ class ContinuedFraction:
         self._ensure(max(n, 1))
         return self._lnq[n]
 
-    def has_exact(self, n: int) -> bool:
-        self._ensure(n)
-        return self._aq[n - 1] is not None
-
     # -- derived values -------------------------------------------------------
 
     def shifted_value_bracket(self, n: int = 0) -> tuple[Fraction, Fraction]:

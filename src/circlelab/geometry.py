@@ -261,11 +261,15 @@ def beta_recursion_check(f: AnalyticCircleMap, n: int, level_n: PartitionLevel,
     |beta_{n+1} - (a_{n+1}/a_n) beta_n| <= C [M^{(k-1)/2} beta_n
     + M^{1/2} beta_{n+1}], then the induced extrema-ratio bounds evaluated
     with that constant (vacuous when 1 - C sqrt(M) <= 0)."""
+    # refined grids hold grid * 4^j points from 0: compare on the coarser one
+    size = min(level_n.grid.size, level_n1.grid.size)
+    step_n, step_n1 = level_n.grid.size // size, level_n1.grid.size // size
+    beta_n, beta_n1 = level_n.beta[::step_n], level_n1.beta[::step_n1]
     ratio = level_n1.qn_distance / level_n.qn_distance
-    resid = np.abs(level_n1.beta - ratio * level_n.beta)
+    resid = np.abs(beta_n1 - ratio * beta_n)
     mk = level_n.M ** ((smoothness - 1) / 2.0)
     ms = math.sqrt(level_n.M)
-    bracket = mk * level_n.beta + ms * level_n1.beta
+    bracket = mk * beta_n + ms * beta_n1
     vals = resid / bracket
     i = int(np.argmax(vals))
     c = float(vals[i])
@@ -279,7 +283,7 @@ def beta_recursion_check(f: AnalyticCircleMap, n: int, level_n: PartitionLevel,
         lo_ok = level_n1.m >= bound_lo - 1e-12
         vacuous = False
     return BetaRecursionCheck(n=n, c_estimate=c,
-                              witness=float(level_n.grid[i]),
+                              witness=float(level_n.grid[i * step_n]),
                               smoothness=smoothness,
                               ratio_bound_upper_ok=up_ok,
                               ratio_bound_lower_ok=lo_ok, vacuous=vacuous)

@@ -111,6 +111,13 @@ def test_brjuno_function_self_consistency_random():
         assert abs(b_x - (math.log(1.0 / x) + x * b_gx)) < 1e-6
 
 
+def test_brjuno_interval_widens_tail_past_finite_end():
+    # the window [3, 1] ends one quotient before the fraction does, so the
+    # first omitted term is unknown: the allowance must widen, not vanish
+    _, _, tail = brjuno_interval(ContinuedFraction([3, 1, 4]), 0, 2)
+    assert tail >= 1e300
+
+
 def test_brjuno_interval_brackets_true_value():
     lo, hi, tail = brjuno_interval(ContinuedFraction.golden(), 0, 40)
     ref = math.log(1.0 / GOLDEN) / (1.0 - GOLDEN)
@@ -194,6 +201,11 @@ def test_classify_golden():
     assert v.condition_h.kind == "pass_to_depth"
     ref = math.log(1.0 / GOLDEN) / (1.0 - GOLDEN)
     assert v.brjuno_B == pytest.approx(ref, abs=1e-6)
+
+
+def test_classify_finite_fraction_is_rational():
+    with pytest.raises(RationalDetected):
+        classify(ContinuedFraction([3, 1, 4]))
 
 
 def test_classify_log_power_dioph_fail_h_pass():

@@ -1,8 +1,13 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from circlelab.arithmetic import ClassifyConfig
 from circlelab.cli import main, validate_config
 
 GOLDEN_CF = {"quotients": [1], "tail": {"kind": "periodic", "start": 1, "period": 1}}
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_cfg(tmp_path, name, payload):
@@ -149,3 +154,70 @@ def test_flag_overrides_reach_config(tmp_path):
                  "--depth", "12"]) == 0
     out = json.loads((tmp_path / "classify.json").read_text())
     assert out["verdict"]["diophantine"]["depth"] == 12
+
+
+@pytest.mark.parametrize("cmd,section,key,value", [
+    ("rotnum", "rotnum", "burn_in", 1.5),
+    ("geometry", "geometry", "tune_tol", "tight"),
+    ("kam", "kam", "base_truncation", 8.0),
+    ("kam", "kam", "strips", 0.01),
+    ("kam", "kam", "truncations", "16"),
+])
+def test_validate_types_every_key_a_runner_reads(cmd, section, key, value):
+    cfg = {"target": GOLDEN_CF,
+           "map": {"family": {"kind": "arnold", "a": 0.61, "b": 0.3}},
+           section: {key: value}}
+    bad = validate_config(cmd, cfg)
+    assert any(v.startswith(f"{section}.{key}: expected") for v in bad)
+
+
+@pytest.mark.parametrize("cmd", ["kam", "geometry"])
+def test_validate_needs_map_or_family(cmd):
+    bad = validate_config(cmd, {"target": GOLDEN_CF})
+    assert "map or family: required section missing" in bad
+
+
+def test_geometry_without_map_or_family_is_a_config_violation(tmp_path, capsys):
+    rc = main(["geometry", "--config", str(CONFIGS / "tongue_scan.json"),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "config violation: map or family" in capsys.readouterr().err
+
+
+SAMPLE_SUBCOMMANDS = [
+    ("classify_golden.json", "classify"), ("classify_liouville.json", "classify"),
+    ("rotnum_arnold.json", "rotnum"), ("kam_arnold_golden.json", "kam"),
+    ("kam_arnold_golden.json", "tune"), ("geometry_arnold.json", "geometry"),
+    ("tongue_scan.json", "tongue-scan"),
+]
+
+
+def test_every_sample_config_is_covered():
+    assert {name for name, _ in SAMPLE_SUBCOMMANDS} == {
+        p.name for p in CONFIGS.glob("*.json")}
+
+
+@pytest.mark.parametrize("name,cmd", SAMPLE_SUBCOMMANDS)
+def test_sample_configs_validate_clean(name, cmd):
+    assert validate_config(cmd, json.loads((CONFIGS / name).read_text())) == []
+
+
+def test_classify_finite_fraction_exits_rational(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "target": {"quotients": [3, 1, 4], "tail": {"kind": "finite"}}})
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = json.loads((tmp_path / "classify.json").read_text())
+    assert out["rational"] == {"p": 5, "q": 19}
+
+
+def test_outputs_carry_resolved_config(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {"target": GOLDEN_CF})
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path),
+                 "--depth", "12"]) == 0
+    resolved = json.loads((tmp_path / "classify.json").read_text())["resolved"]
+    defaults = ClassifyConfig()
+    assert resolved.pop("diophantine_depth") == 12
+    assert resolved == {k: getattr(defaults, k) for k in resolved}
+    assert main(["bootstrap", "--out", str(tmp_path)]) == 0
+    out = json.loads((tmp_path / "bootstrap.json").read_text())
+    assert out["resolved"] == {"r": 5.0, "sigma": 0.0, "gamma0": 0.0, "steps": 60}

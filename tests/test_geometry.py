@@ -113,6 +113,21 @@ def test_beta_recursion_rotation_exact():
     assert br.c_estimate < 1e-7
 
 
+def test_beta_recursion_on_refined_next_level(arnold_b03_golden):
+    # build_partition refines a level's grid by factors of 4 from the same
+    # origin; the recursion check must compare two levels on the coarser grid
+    f = arnold_b03_golden
+    chain = pq_chain(GOLDEN, 4)
+    lev2 = build_partition(f, 2, chain=chain, rho=GOLDEN, grid=1024)
+    lev3 = build_partition(f, 3, chain=chain, rho=GOLDEN, grid=1024)
+    lev3_fine = build_partition(f, 3, chain=chain, rho=GOLDEN, grid=4096)
+    assert (lev2.grid.size, lev3.grid.size, lev3_fine.grid.size) == (1024, 1024, 4096)
+    same = beta_recursion_check(f, 2, lev2, lev3)
+    mixed = beta_recursion_check(f, 2, lev2, lev3_fine)
+    assert mixed.c_estimate == pytest.approx(same.c_estimate, rel=1e-12)
+    assert mixed.witness == same.witness
+
+
 def test_partition_detects_periodic_orbit():
     f = ArnoldFamily(0.5).map_at(0.0)  # fixed point at 0
     with pytest.raises(PeriodicOrbitDetected):
