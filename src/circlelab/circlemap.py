@@ -6,6 +6,12 @@ forced by the form.  Keeping the class finite makes the calculus exact
 (derivatives, strip bounds, spectral projection) and truncation explicit:
 composition is sampling plus projection with reported tail energy.
 
+Every pointwise value goes through one evaluator, `_eval_modes`: it takes a
+single complex exponential z = e^(2 pi i (x mod 1)) per point and sums the
+modes by Horner's rule in z, so a call costs O(K m) flops and O(m) memory for
+K modes at m points, and several derivative orders at the same points share
+that z.
+
 Every constructed map is certified orientation-preserving: Df > 0 on a
 2048-point grid with a Lipschitz safety margin from the coefficient bound on
 |D2f|.
@@ -38,6 +44,7 @@ class AnalyticCircleMap:
     coeffs: np.ndarray = field(default_factory=lambda: np.zeros(0, complex))
 
     def __post_init__(self):
+        object.__setattr__(self, "mean_shift", float(self.mean_shift))
         arr = np.asarray(self.coeffs, dtype=np.complex128).reshape(-1).copy()
         while arr.size and arr[-1] == 0:
             arr = arr[:-1]
@@ -120,31 +127,41 @@ def map_from_json(obj: dict) -> AnalyticCircleMap:
 # pointwise calculus
 
 
+def _eval_modes(f: AnalyticCircleMap, x: np.ndarray, orders) -> list:
+    """[D^r f(x) for r in orders] at an array of points.
+
+    With z = e^(2 pi i (x mod 1)) and w_k = (2 pi i k)^r v_hat(k), the mode
+    sum sum_k w_k z^k is evaluated by Horner's rule, z (w_1 + z (w_2 + ...)),
+    and the k < 0 half of the lift is its complex conjugate, so the modes
+    contribute twice its real part.  Every order reuses the same z; a
+    degree-0 map is exact (x + c, then 1, then 0)."""
+    if f.degree == 0:
+        return [x + f.mean_shift if r == 0 else np.full_like(x, float(r == 1))
+                for r in orders]
+    z = np.exp((2j * math.pi) * (x - np.floor(x)))
+    ik = 2j * math.pi * f._k
+    out = []
+    for r in orders:
+        w = (ik ** r * f.coeffs).tolist()
+        acc = w[-1] * z
+        for c in w[-2::-1]:
+            acc += c
+            acc *= z
+        part = 2.0 * acc.real
+        out.append(x + f.mean_shift + part if r == 0
+                   else 1.0 + part if r == 1 else part)
+    return out
+
+
 def derivative(f: AnalyticCircleMap, x: ArrayLike, order: int = 1) -> ArrayLike:
-    """Exact derivative of the lift; order 0 returns f(x) itself."""
+    """Exact derivative of the lift; order 0 returns f(x) itself.
+
+    Evaluated by `_eval_modes`: one complex exponential per point and a
+    Horner sweep over the K modes, with no (m x K) phase matrix."""
     if not 0 <= order <= MAX_DERIV_ORDER:
         raise ValueError(f"derivative order must be in 0..{MAX_DERIV_ORDER}")
-    scalar = np.ndim(x) == 0
-    xa = np.asarray(x, dtype=float)
-    if f.degree == 0:
-        if order == 0:
-            out = xa + f.mean_shift
-        elif order == 1:
-            out = np.ones_like(xa)
-        else:
-            out = np.zeros_like(xa)
-        return float(out) if scalar else out
-    xm = xa - np.floor(xa)
-    phases = np.exp((2j * math.pi) * np.multiply.outer(xm, f._k))
-    w = (2j * math.pi * f._k) ** order * f.coeffs
-    part = 2.0 * np.real(phases @ w)
-    if order == 0:
-        out = xa + f.mean_shift + part
-    elif order == 1:
-        out = 1.0 + part
-    else:
-        out = part
-    return float(out) if scalar else out
+    out = _eval_modes(f, np.asarray(x, dtype=float), (order,))[0]
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def evaluate(f: AnalyticCircleMap, x: ArrayLike) -> ArrayLike:
@@ -194,21 +211,22 @@ def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
     b = np.zeros_like(cur)  # D2f^i
     c = np.zeros_like(cur)  # D3f^i
     for _ in range(n):
-        f1 = derivative(f, cur, 1)
-        f2 = derivative(f, cur, 2) if order >= 1 else None
+        # f and D1f..D^{order+1}f at the current points, from one z
+        fx, f1, *hi = _eval_modes(f, cur, range(order + 2))
         if order == 0:
             s += np.log(f1)
         else:
+            f2 = hi[0]
             g1 = f2 / f1
             if order == 1:
                 s += g1 * a
             else:
-                f3 = derivative(f, cur, 3)
+                f3 = hi[1]
                 g2 = f3 / f1 - g1 * g1
                 if order == 2:
                     s += g2 * a * a + g1 * b
                 else:
-                    f4 = derivative(f, cur, 4)
+                    f4 = hi[2]
                     g3 = f4 / f1 - 3.0 * f3 * f2 / f1**2 + 2.0 * g1**3
                     s += g3 * a**3 + 3.0 * g2 * a * b + g1 * c
             if order >= 3:
@@ -221,7 +239,7 @@ def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
         elif np.max(np.abs(a)) > _BLOWUP_GUARD:
             raise DerivativeBlowup(
                 f"orbit derivative product exceeded {_BLOWUP_GUARD:g}")
-        cur = evaluate(f, cur)
+        cur = fx
     return float(s[0]) if scalar else s.reshape(np.shape(x))
 
 
@@ -341,16 +359,16 @@ def log_derivative_variation(f: AnalyticCircleMap, grid: int = 8192) -> float:
     b[f.degree - kk] = np.conj(w)
     poly = b[::-1]
     nz = np.nonzero(np.abs(poly) > 0)[0]
-    xs: list[float] = []
+    xs = np.zeros(0)
     if nz.size:
         roots = np.roots(poly[nz[0]:])
         unit = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
-        xs = sorted((float(np.angle(z)) / TWO_PI) % 1.0 for z in unit)
-        for _ in range(3):  # polish on D2f with D3f
-            xs = [x - derivative(f, x, 2) / d3 if abs(d3 := derivative(f, x, 3)) > 1e-9
-                  else x for x in xs]
-    pts = np.unique(np.concatenate([np.asarray(xs, dtype=float) % 1.0,
-                                    np.arange(grid) / grid]))
+        xs = np.sort(np.angle(unit) / TWO_PI % 1.0)
+        for _ in range(3):  # polish on D2f with D3f, all roots at once
+            d2, d3 = _eval_modes(f, xs, (2, 3))
+            flat = np.abs(d3) <= 1e-9
+            xs = np.where(flat, xs, xs - d2 / np.where(flat, 1.0, d3))
+    pts = np.unique(np.concatenate([xs % 1.0, np.arange(grid) / grid]))
     vals = np.log(derivative(f, pts, 1))
     return float(np.sum(np.abs(np.diff(vals))) + abs(vals[0] - vals[-1]))
 

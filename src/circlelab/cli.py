@@ -122,6 +122,8 @@ def validate_config(subcommand: str, cfg: dict) -> list[str]:
     spec = _SPECS.get(subcommand)
     if spec is None:
         return [f"unknown subcommand {subcommand!r}"]
+    if not isinstance(cfg, dict):
+        return [f"config: expected a JSON object, got {type(cfg).__name__}"]
     out = [f"{need.replace('|', ' or ')}: required section missing"
            for need in spec.need if all(cfg.get(s) is None for s in need.split("|"))]
     sec = cfg.get(spec.section)
@@ -134,7 +136,10 @@ def validate_config(subcommand: str, cfg: dict) -> list[str]:
              for path, v, t in typed if v is not None and not isinstance(v, t)]
     out += wrong
     m = cfg.get("map")
-    fam = cfg.get("family") or (m.get("family") if isinstance(m, dict) else None)
+    map_fam = m.get("family") if isinstance(m, dict) else None
+    if isinstance(map_fam, dict) and "a" not in map_fam:
+        out.append("map.family.a: required")
+    fam = cfg.get("family") or map_fam
     if isinstance(fam, dict):
         try:
             family_from_json(fam)
@@ -319,7 +324,7 @@ def main(argv=None) -> int:
         return EXIT_OK if not violations else EXIT_ERROR
     spec = _SPECS[args.cmd]
     for flag, key in spec.flags.items():
-        if getattr(args, flag) is not None:
+        if getattr(args, flag) is not None and isinstance(cfg, dict):
             cfg.setdefault(spec.section, {})[key] = getattr(args, flag)
     violations = validate_config(args.cmd, cfg)
     if violations:

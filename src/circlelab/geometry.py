@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .circlemap import (AnalyticCircleMap, derivative, evaluate, iterate,
+from .circlemap import (AnalyticCircleMap, _eval_modes, derivative, iterate,
                         log_derivative_variation, orbit_lift,
                         orbit_log_derivative)
 from .contfrac import cf_expand, convergents
@@ -229,12 +229,12 @@ def derivative_growth_check(f: AnalyticCircleMap, n: int,
     a = np.ones_like(level.grid)
     s1 = np.ones_like(level.grid)
     s2 = np.ones_like(level.grid)
-    x = level.grid.copy()
+    x = level.grid
     for _ in range(q1 - 1):
-        a = a * derivative(f, x, 1)
+        x, df = _eval_modes(f, x, (0, 1))
+        a = a * df
         s1 += a
         s2 += a * a
-        x = evaluate(f, x)
     c_sums = {
         1: float(np.max(s1 * level.beta)),
         2: float(np.max(s2 * level.beta ** 2 / level.M)),

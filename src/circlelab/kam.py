@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .circlemap import (AnalyticCircleMap, compose_project, conjugate_project,
-                        derivative, evaluate, inverse, orbit_lift, rotation,
-                        strip_norm)
+from .circlemap import (AnalyticCircleMap, _eval_modes, compose_project,
+                        conjugate_project, evaluate, inverse, orbit_lift,
+                        rotation, strip_norm)
 from .contfrac import ContinuedFraction
 from .errors import (ConjugacyNotDiffeo, NotDiffeomorphism, NotMonotone,
                      Resonance, SmallDivisor)
@@ -76,13 +76,18 @@ class KamConfig:
             out.append("max_steps must be >= 1")
         if self.divisor_floor <= 0:
             out.append("divisor_floor must be positive")
-        nus = [self.nu_at(n) for n in range(self.max_steps + 1)]
-        if any(b >= a for a, b in zip(nus, nus[1:])):
-            out.append("strip schedule must be strictly decreasing")
-        if nus[-1] < self.nu0 / 2 - 1e-15:
-            out.append("strip schedule must stay at or above nu0/2")
+        if self.strips is not None and len(self.strips) == 0:
+            out.append("strip schedule must not be empty")
+        else:
+            nus = [self.nu_at(n) for n in range(self.max_steps + 1)]
+            if any(b >= a for a, b in zip(nus, nus[1:])):
+                out.append("strip schedule must be strictly decreasing")
+            if nus[-1] < self.nu0 / 2 - 1e-15:
+                out.append("strip schedule must stay at or above nu0/2")
         if self.truncations is not None:
             ts = list(self.truncations)
+            if not ts:
+                out.append("truncation schedule must not be empty")
             if any(b < a for a, b in zip(ts, ts[1:])):
                 out.append("truncation schedule must be nondecreasing")
         return out
@@ -182,7 +187,7 @@ def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, out_degree: int,
     """One conjugation step: solve for w from the nonlinearity of f (with the
     mean recentred away), build h = id + w, and return h o f o h^{-1}
     projected to out_degree."""
-    mean_shift = f.mean_shift - alpha
+    mean_shift = float(f.mean_shift - alpha)
     w_hat = solve_homological(f.coeffs, alpha, trunc, divisor_floor)
     try:
         h = AnalyticCircleMap(0.0, w_hat)
@@ -366,19 +371,23 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.arange(grid) / grid
-    orb = orbit_lift(f, x, n)
+    # the orbit and the slope of the average along it: Dh_n = sum_i Df^i / n,
+    # with f and Df at each orbit point sharing one evaluation
+    orb = np.empty((n + 1, grid))
+    orb[0] = x
+    dh = np.ones_like(x)
+    a = np.ones_like(x)
+    for i in range(1, n + 1):
+        orb[i], df = _eval_modes(f, orb[i - 1], (0, 1))
+        if i < n:
+            a = a * df
+            dh += a
+    dh /= n
     h_vals = orb[:n].sum(axis=0) / n
     if rho is None:
         eps = 1e-12 if f.degree == 0 else 1e-10
         rho = rho_interval(f, eps, stall_factor=64).value
     defect = float(np.max(np.abs((orb[n] - orb[0]) / n - rho)))
-    # derivative of the average along the orbit
-    dh = np.ones_like(x)
-    a = np.ones_like(x)
-    for i in range(1, n):
-        a = a * derivative(f, orb[i - 1], 1)
-        dh += a
-    dh /= n
     if float(dh.min()) <= 1e-12:
         raise NotMonotone(f"averaged conjugacy has min slope {dh.min():.3e}")
     deg = degree if degree is not None else min(grid // 3, 256)
@@ -389,10 +398,9 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
         raise NotMonotone(f"averaged conjugacy failed validation: {e}") from e
     # identity check at fresh points
     z = (np.arange(grid) + 0.5) / grid
-    fz = evaluate(f, z)
     orbz = orbit_lift(f, z, n)
     rhs = orbz[:n].sum(axis=0) / n + (orbz[n] - orbz[0]) / n
-    lhs = evaluate(h_map, fz)
+    lhs = evaluate(h_map, orbz[1])
     identity_residual = float(np.max(np.abs(lhs - rhs)))
     return HermanResult(h=h_map, defect=defect,
                         identity_residual=identity_residual, n=n)

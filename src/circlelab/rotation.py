@@ -335,7 +335,7 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10,
         if span is not None and span <= tol:
             est = rho_interval(family.map_at(a), tol / 2, x0, n_cap,
                                stall_factor=64)
-            return a, est
+            return float(a), est
         # maintain the monotone bracket and take a safeguarded secant step
         if dev > 0:
             hi = min(hi, a)

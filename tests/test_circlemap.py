@@ -221,3 +221,84 @@ def test_affine_shift_family_retunes_constant_only():
     assert g.mean_shift == 0.7
     assert np.array_equal(g.coeffs, base.coeffs)
     assert fam.displacement_bound() == base.displacement_bound()
+
+
+# ---------------------------------------------------------------------------
+# the Horner evaluator against a 30-digit oracle
+
+
+def _mp_derivative(mp, f, x, order):
+    """D^order f(x) summed mode by mode in 30-digit arithmetic at the exact
+    float x."""
+    xm = mp.mpf(float(x))
+    s = mp.mpf(0)
+    for k, c in enumerate(f.coeffs, start=1):
+        w = (2j * mp.pi * k) ** order * mp.mpc(c.real, c.imag)
+        s += 2 * mp.re(w * mp.expjpi(2 * k * xm))
+    base = xm + f.mean_shift if order == 0 else (1 if order == 1 else 0)
+    return base + s
+
+
+ORACLE_X = np.array([0.0, 0.125, 0.3183, 0.5, 0.77, 0.999, 1.0, -0.25, -3.7,
+                     2.5, 7.9])
+
+
+@pytest.mark.parametrize("degree", [0, 1, 16, 256])
+def test_derivative_matches_mpmath_oracle(degree):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    rng = np.random.default_rng(degree)
+    k = np.arange(1, degree + 1)
+    co = 0.005 * (rng.standard_normal(degree)
+                  + 1j * rng.standard_normal(degree)) / k ** 2
+    f = AnalyticCircleMap(0.37, co)
+    assert f.degree == degree
+    for order in range(5):
+        tol = 1e-13 * max(1.0, float(np.sum(np.abs((2 * np.pi * k) ** order * co))))
+        want = [_mp_derivative(mp, f, x, order) for x in ORACLE_X]
+        got = derivative(f, ORACLE_X, order)
+        assert got.shape == ORACLE_X.shape
+        assert max(abs(w - mp.mpf(float(g))) for w, g in zip(want, got)) <= tol
+        for x, w in zip(ORACLE_X[::5], want[::5]):  # scalar in, float out
+            val = derivative(f, float(x), order)
+            assert type(val) is float
+            assert abs(w - val) <= tol
+
+
+def test_derivative_degree_zero_is_exact():
+    f = rotation(0.3)
+    x = np.array([-2.75, 0.0, 0.4, 3.5])
+    assert np.array_equal(derivative(f, x, 0), x + 0.3)
+    assert np.array_equal(derivative(f, x, 1), np.ones(4))
+    for order in (2, 3, 4):
+        assert np.array_equal(derivative(f, x, order), np.zeros(4))
+    assert derivative(f, 0.5, 0) == 0.5 + 0.3 and type(derivative(f, 0.5, 1)) is float
+
+
+def _log_derivative_per_order(f, x, n, order):
+    """orbit_log_derivative's forward accumulation with every derivative of f
+    taken by its own derivative() call."""
+    cur = np.asarray(x, dtype=float)
+    s, a, b, c = 0.0, 1.0, 0.0, 0.0
+    for _ in range(n):
+        f1, f2, f3, f4 = (derivative(f, cur, r) for r in range(1, 5))
+        g1 = f2 / f1
+        g2 = f3 / f1 - g1 * g1
+        g3 = f4 / f1 - 3.0 * f3 * f2 / f1**2 + 2.0 * g1**3
+        s = s + (np.log(f1), g1 * a, g2 * a * a + g1 * b,
+                 g3 * a**3 + 3.0 * g2 * a * b + g1 * c)[order]
+        a, b, c = (f1 * a, f2 * a * a + f1 * b,
+                   f3 * a**3 + 3.0 * f2 * a * b + f1 * c)
+        cur = evaluate(f, cur)
+    return s
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_orbit_log_derivative_matches_per_order_calls(order):
+    f = small_map(9, degree=6, scale=0.01)
+    x = np.array([-0.4, 0.05, 0.5, 1.9])
+    got = orbit_log_derivative(f, x, 12, order)
+    want = _log_derivative_per_order(f, x, 12, order)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert orbit_log_derivative(f, 0.3, 12, order) == pytest.approx(
+        float(_log_derivative_per_order(f, 0.3, 12, order)), rel=1e-13, abs=1e-13)

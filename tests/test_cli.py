@@ -221,3 +221,27 @@ def test_outputs_carry_resolved_config(tmp_path):
     assert main(["bootstrap", "--out", str(tmp_path)]) == 0
     out = json.loads((tmp_path / "bootstrap.json").read_text())
     assert out["resolved"] == {"r": 5.0, "sigma": 0.0, "gamma0": 0.0, "steps": 60}
+
+
+def test_map_family_without_a_is_a_config_violation(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"map": {"family": {"kind": "arnold", "b": 0.3}}})
+    assert validate_config("rotnum", json.loads(cfg.read_text())) == [
+        "map.family.a: required"]
+    assert main(["rotnum", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "config violation: map.family.a: required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bootstrap"], ["rotnum", "--nmax", "5"],
+                                  ["validate", "kam"]])
+def test_config_that_is_not_an_object_is_a_violation(tmp_path, capsys, argv):
+    cfg = write_cfg(tmp_path, "c.json", [1, 2])
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr()
+    assert "config: expected a JSON object, got list" in out.out + out.err
+
+
+def test_validate_kam_names_an_empty_strip_schedule():
+    cfg = {"target": GOLDEN_CF, "family": {"kind": "arnold", "b": 0.05},
+           "kam": {"strips": []}}
+    assert validate_config("kam", cfg) == ["kam: strip schedule must not be empty"]

@@ -79,6 +79,14 @@ def test_kam_step_fixed_point_of_scheme():
     assert step.f_next.mean_shift == pytest.approx(GOLDEN, abs=1e-15)
 
 
+def test_step_record_holds_plain_floats():
+    alpha = np.float64(GOLDEN)
+    f = AnalyticCircleMap(alpha, np.array([-1j * 0.005]))
+    rec = kam_step(f, alpha, 8, 16, 0.02).record
+    assert type(rec.norm_v) is float
+    assert type(rec.mean_shift) is float
+
+
 def test_kam_step_quadratic_drop():
     f = AnalyticCircleMap(GOLDEN, np.array([-1j * 0.005]))  # 0.01 sin
     step = kam_step(f, GOLDEN, 8, 16, 0.02)
@@ -147,6 +155,14 @@ def test_config_violations_reported():
                      max_steps=2)
     assert any("nondecreasing" in v for v in cfg2.violations())
     assert KamConfig(ContinuedFraction.golden()).violations() == []
+
+
+def test_empty_schedules_are_named_violations():
+    golden = ContinuedFraction.golden()
+    assert KamConfig(golden, strips=()).violations() == [
+        "strip schedule must not be empty"]
+    assert KamConfig(golden, truncations=()).violations() == [
+        "truncation schedule must not be empty"]
 
 
 def test_trace_csv_round_trip(arnold_b005_golden):

@@ -69,6 +69,10 @@ def test_tuned_map_extracts_target_quotients():
     assert abs(b.value - got.value) <= b.error_bound + got.error_bound
 
 
+def test_tuned_parameter_is_a_plain_float(tuned):
+    assert type(tuned(0.3, "golden")) is float
+
+
 def test_tune_b_zero_returns_target():
     a, _ = tune_parameter(ArnoldFamily(0.0), ContinuedFraction.golden(), tol=1e-10)
     assert a == pytest.approx(GOLDEN, abs=1e-10)
