@@ -64,11 +64,6 @@ class PartitionLevel:
         return self.M / self.m
 
 
-def _beta_on_grid(f: AnalyticCircleMap, grid_x: np.ndarray, q: int, p: int,
-                  sign: float) -> np.ndarray:
-    return sign * (iterate(f, grid_x, q) - grid_x - p)
-
-
 def build_partition(f: AnalyticCircleMap, n: int,
                     chain: Optional[Sequence[tuple]] = None,
                     rho: Optional[float] = None, grid: int = 4096,
@@ -95,7 +90,7 @@ def build_partition(f: AnalyticCircleMap, n: int,
     certified = True
     while True:
         gx = np.arange(g) / g
-        beta = _beta_on_grid(f, gx, q, p, sign)
+        beta = sign * (iterate(f, gx, q) - gx - p)
         if float(beta.min()) <= 0.0:
             raise PeriodicOrbitDetected(q, p, float(beta.min()))
         margin = lip / (2.0 * g)
@@ -146,25 +141,26 @@ def build_partition(f: AnalyticCircleMap, n: int,
 def _refined_abs_max(fn: Callable[[np.ndarray], np.ndarray],
                      grid_vals: np.ndarray, grid_x: np.ndarray,
                      spread: float) -> tuple[float, float]:
-    """Grid max of |fn| sharpened by local golden-section around the top
-    grid candidates.  Returns (max value, witness x)."""
+    """Grid max of |fn| sharpened by local golden-section searches around
+    the three top grid candidates, run side by side: each iteration
+    evaluates fn once on both probe points of every candidate.  A refined
+    value replaces the running max only when strictly larger, candidates
+    taken from the smallest grid value up.  Returns (max value, witness x)."""
     idx = np.argsort(np.abs(grid_vals))[-3:]
     best = float(np.max(np.abs(grid_vals)))
     wit = float(grid_x[np.argmax(np.abs(grid_vals))])
-    for i in idx:
-        lo, hi = grid_x[i] - spread, grid_x[i] + spread
-        for _ in range(12):
-            m1 = lo + 0.382 * (hi - lo)
-            m2 = lo + 0.618 * (hi - lo)
-            v1, v2 = np.abs(fn(np.array([m1, m2])))
-            if v1 < v2:
-                lo = m1
-            else:
-                hi = m2
-        xs = 0.5 * (lo + hi)
-        vs = float(np.abs(fn(np.array([xs])))[0])
-        if vs > best:
-            best, wit = vs, xs
+    lo, hi = grid_x[idx] - spread, grid_x[idx] + spread
+    for _ in range(12):
+        m1 = lo + 0.382 * (hi - lo)
+        m2 = lo + 0.618 * (hi - lo)
+        v1, v2 = np.split(np.abs(fn(np.concatenate([m1, m2]))), 2)
+        left = v1 < v2
+        lo = np.where(left, m1, lo)
+        hi = np.where(left, hi, m2)
+    xs = 0.5 * (lo + hi)
+    for x, v in zip(xs, np.abs(fn(xs))):
+        if v > best:
+            best, wit = float(v), float(x)
     return best, wit
 
 
@@ -392,6 +388,8 @@ class GeometryReport:
                 b.ratio_bound_upper_ok and b.ratio_bound_lower_ok
                 for b in self.beta_rec),
             "smoothness": self.smoothness,
+            "uncertified_levels": [lev.n for lev in self.levels
+                                   if not lev.certified],
         }
 
 

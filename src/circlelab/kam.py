@@ -199,8 +199,8 @@ def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, out_degree: int,
         raise ConjugacyNotDiffeo(f"conjugated map failed validation: {e}") from e
     rec = StepRecord(
         step=step_index,
-        norm_v=strip_norm(f, rotation(alpha), nu).upper,
-        norm_w=strip_norm(h, rotation(0.0), nu).upper,
+        norm_v=strip_norm(f, rotation(alpha), nu),
+        norm_w=strip_norm(h, rotation(0.0), nu),
         mean_shift=abs(mean_shift),
         tail_energy=conj.tail_energy,
         min_divisor=min_divisor(min(trunc, f.degree), alpha),
@@ -249,7 +249,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
     note = ""
     for n in range(config.max_steps):
         nu_n = config.nu_at(n)
-        norm = strip_norm(f_n, rotation(alpha), nu_n).upper
+        norm = strip_norm(f_n, rotation(alpha), nu_n)
         if norm < config.threshold:
             verdict = "linearized"
             break

@@ -9,7 +9,9 @@ error 1/(q_d q_{d+1}).
 
 The return scan is a single streaming pass over the orbit with an early-exit
 callback, so tuning decisions (is the rotation number left or right of the
-target?) only consume as much orbit as they need.
+target?) only consume as much orbit as they need.  The tuning probe that
+ends on a two-sided bracket holding the target is itself the certificate:
+its estimate is read off that scan, and the orbit is not walked again.
 """
 
 from __future__ import annotations
@@ -246,8 +248,7 @@ def rotation_number_closest_return(f: AnalyticCircleMap, x0: float = 0.0,
                          lambda s: s.overall_count >= depth + 2, RATIONAL_TOL)
     est = _estimate_from(scan, scan.returns[-1].q if scan.returns else n_max)
     if est is None:
-        b = rotation_number_birkhoff(f, x0, n_max)
-        return RotationEstimate(b.value, "birkhoff", b.n, b.error_bound)
+        return rotation_number_birkhoff(f, x0, n_max)
     return est
 
 
@@ -261,25 +262,24 @@ def rho_interval(f: AnalyticCircleMap, eps: float, x0: float = 0.0,
                          RATIONAL_TOL, stall_factor)
     est = _estimate_from(scan, scan.returns[-1].q if scan.returns else n_cap)
     if est is None:
-        b = rotation_number_birkhoff(f, x0, max(1024, min(n_cap, int(2.0 / eps))))
-        return RotationEstimate(b.value, "birkhoff", b.n, b.error_bound)
+        return rotation_number_birkhoff(f, x0, max(1024, min(n_cap, int(2.0 / eps))))
     return est
 
 
-def _refined_value(scan: _ReturnScan) -> float:
-    """Uncertified sharpened value (p_d + err_d)/q_d from the deepest return.
-
-    For a conjugated rotation the return error is Dh(y0) times the exact
-    displacement error, so this lands within O(|Dh - 1|) of the truth
-    relative to the certified bracket width -- good enough to steer a root
-    find even where certified returns have stalled."""
-    r = scan.returns[-1]
-    return (r.p + r.err) / r.q
-
-
 def _probe(f: AnalyticCircleMap, alpha: float, eps: float, x0: float,
-           n_cap: int):
-    """(deviation estimate, certified span or None) for rho(f) vs alpha."""
+           n_cap: int) -> tuple[float, Optional[RotationEstimate]]:
+    """(deviation estimate, certified estimate or None) for rho(f) vs alpha.
+
+    The deviation is the uncertified sharpened value (p_d + err_d)/q_d of
+    the deepest return minus alpha.  For a conjugated rotation the return
+    error is Dh(y0) times the exact displacement error, so this lands within
+    O(|Dh - 1|) of the truth relative to the certified bracket width -- good
+    enough to steer a root find even where certified returns have stalled.
+
+    The estimate comes when the scan ends on a bracket of width <= eps
+    holding alpha: the first such return, where rho_interval(f, eps) stops
+    too under any stall guard at least as loose as this one's.
+    """
     def stop(s: _ReturnScan) -> bool:
         br = s.bracket()
         if br is not None and (br[1] < alpha or br[0] > alpha):
@@ -294,11 +294,11 @@ def _probe(f: AnalyticCircleMap, alpha: float, eps: float, x0: float,
     if not scan.returns:
         b = rotation_number_birkhoff(f, x0, 4096)
         return b.value - alpha, None
-    dev = _refined_value(scan) - alpha
+    r = scan.returns[-1]
+    dev = (r.p + r.err) / r.q - alpha
     br = scan.bracket()
-    if br is not None and br[0] <= alpha <= br[1] and scan.width() <= eps:
-        span = max(abs(br[0] - alpha), abs(br[1] - alpha))
-        return dev, span
+    if scan.width() <= eps and br[0] <= alpha <= br[1]:
+        return dev, _estimate_from(scan, r.q)
     return dev, None
 
 
@@ -310,9 +310,10 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10,
 
     Continuity and monotonicity of the rotation number in the additive
     parameter justify a safeguarded secant iteration on the sharpened
-    closest-return value; certification (a two-sided return bracket within
-    tol of the target) is only attempted once the iterate is close enough
-    for the target's return structure to persist to the needed depth.
+    closest-return value.  Each probe scans only until the returns place the
+    target on one side or bracket it within tol/2; the first probe whose
+    two-sided bracket holds the target is the certificate, and its estimate
+    (the one rho_interval(map, tol/2) would return) is returned as it is.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -329,12 +330,10 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10,
     slope = 1.0
     for _ in range(80):
         try:
-            dev, span = _probe(family.map_at(a), alpha, tol / 2, x0, n_cap)
+            dev, est = _probe(family.map_at(a), alpha, tol / 2, x0, n_cap)
         except PeriodicOrbitDetected as po:
-            dev, span = po.p / po.q - alpha, None
-        if span is not None and span <= tol:
-            est = rho_interval(family.map_at(a), tol / 2, x0, n_cap,
-                               stall_factor=64)
+            dev, est = po.p / po.q - alpha, None
+        if est is not None:
             return float(a), est
         # maintain the monotone bracket and take a safeguarded secant step
         if dev > 0:

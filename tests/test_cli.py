@@ -142,6 +142,7 @@ def test_geometry_cli_on_map(tmp_path, tuned):
     assert len(rows) == 5
     summary = json.loads((tmp_path / "geometry.json").read_text())
     assert summary["tiling_ok"] and summary["sandwich_ok"]
+    assert summary["uncertified_levels"] == []
 
 
 def test_unknown_config_file_errors(tmp_path):

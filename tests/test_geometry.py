@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab.circlemap import ArnoldFamily, rotation
+from circlelab.circlemap import ArnoldFamily, orbit_log_derivative, rotation
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import EmptyWindow, PeriodicOrbitDetected
-from circlelab.geometry import (beta_recursion_check, bootstrap_schedule,
-                                build_partition, c1_criterion,
+from circlelab.geometry import (GeometryReport, beta_recursion_check,
+                                bootstrap_schedule, build_partition,
+                                c1_criterion, denjoy_checks,
                                 derivative_growth_check, geometry_report,
                                 koksma_check, pq_chain, ratio_trend)
 from circlelab.rotation import tune_parameter
@@ -73,6 +74,44 @@ def test_arnold_tiling_and_sandwich(arnold_report):
 def test_arnold_classical_denjoy(arnold_report):
     for dj in arnold_report.denjoy:
         assert dj.classical_residual <= 1e-8
+
+
+def _sequential_abs_max(fn, grid_vals, grid_x, spread):
+    """Reference search: one golden-section search per top grid candidate,
+    run one after another on one or two points at a time."""
+    best = float(np.max(np.abs(grid_vals)))
+    wit = float(grid_x[np.argmax(np.abs(grid_vals))])
+    for i in np.argsort(np.abs(grid_vals))[-3:]:
+        lo, hi = grid_x[i] - spread, grid_x[i] + spread
+        for _ in range(12):
+            m1 = lo + 0.382 * (hi - lo)
+            m2 = lo + 0.618 * (hi - lo)
+            v1, v2 = np.abs(fn(np.array([m1, m2])))
+            if v1 < v2:
+                lo = m1
+            else:
+                hi = m2
+        xs = 0.5 * (lo + hi)
+        vs = float(np.abs(fn(np.array([xs])))[0])
+        if vs > best:
+            best, wit = vs, xs
+    return best, wit
+
+
+def test_denjoy_search_matches_sequential_reference(arnold_b03_golden,
+                                                    arnold_report):
+    f = arnold_b03_golden
+    for lev in arnold_report.levels[:6]:
+        dj = denjoy_checks(f, lev.n, lev)
+        mx, wit = _sequential_abs_max(
+            lambda t: orbit_log_derivative(f, t, lev.q, 0),
+            orbit_log_derivative(f, lev.grid, lev.q, 0), lev.grid,
+            1.0 / lev.grid.size)
+        assert dj.witness == wit
+        assert dj.improved_constant == pytest.approx(
+            mx / math.sqrt(lev.M), rel=1e-15, abs=0.0)
+        assert dj.classical_residual == pytest.approx(
+            mx - dj.var, rel=0.0, abs=2e-15 * max(mx, dj.var))
 
 
 def test_arnold_improved_denjoy_stability(arnold_report):
@@ -239,4 +278,15 @@ def test_report_csv_and_summary(arnold_report):
     summary = arnold_report.to_json_summary()
     assert summary["sandwich_ok"] and summary["tiling_ok"]
     assert summary["classical_denjoy_ok"]
+    assert summary["uncertified_levels"] == []
     assert summary["trend"] == "bounded_trend"
+
+
+def test_summary_lists_uncertified_levels():
+    # a coarse starting grid on a strongly distorted map runs out of
+    # refinements before the Lipschitz margin certifies the deeper levels
+    f = ArnoldFamily(0.9).map_at(0.6083935216319816)
+    rep = geometry_report(f, 4, grid=256, checks=False)
+    assert [lev.certified for lev in rep.levels] == [True, True, False, False]
+    assert rep.to_json_summary()["uncertified_levels"] == [3, 4]
+    assert rep.to_csv().split("\n")[0] == GeometryReport.CSV_HEADER

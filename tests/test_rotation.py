@@ -59,8 +59,15 @@ def test_tongue_interior_detected():
 
 
 def test_tuned_map_extracts_target_quotients():
-    a, est = tune_parameter(ArnoldFamily(0.3), ContinuedFraction.golden(), tol=1e-10)
+    tol = 1e-10
+    a, est = tune_parameter(ArnoldFamily(0.3), ContinuedFraction.golden(), tol=tol)
     f = ArnoldFamily(0.3).map_at(a)
+    # the accepted probe is the certificate: the same estimate a full
+    # rescan of the tuned map gives, a bracket holding the target, tol/2 wide
+    assert est == rho_interval(f, tol / 2, stall_factor=64)
+    lo, hi = est.bracket
+    assert lo <= GOLDEN <= hi
+    assert est.error_bound == hi - lo <= tol / 2
     got = rotation_number_closest_return(f, 0.0, depth=8, n_max=100000)
     assert got.extracted_quotients[:8] == (1,) * 8
     assert abs(est.value - GOLDEN) <= 1e-10
