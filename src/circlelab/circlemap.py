@@ -52,9 +52,11 @@ class AnalyticCircleMap:
         object.__setattr__(self, "coeffs", arr)
         k = np.arange(1, arr.size + 1, dtype=float)
         object.__setattr__(self, "_k", k)
+        # plain Python floats: numpy scalars would make every scalar orbit
+        # step run numpy-scalar arithmetic
         scalar_modes = tuple(
             (TWO_PI * kk, 2.0 * c.real, -2.0 * c.imag)
-            for kk, c in zip(k, arr))
+            for kk, c in enumerate(arr.tolist(), 1))
         object.__setattr__(self, "_scalar_modes", scalar_modes)
         self._certify()
 
@@ -82,7 +84,9 @@ class AnalyticCircleMap:
         return float(2.0 * np.sum(np.abs(self.coeffs)))
 
     def step_scalar(self, x: float) -> float:
-        """Fast scalar lift evaluation for long orbits."""
+        """The lift at one point, in plain float arithmetic (float in, float
+        out).  The return scan in `rotation` inlines this same mode sum on
+        its reduced orbit rather than calling it."""
         xm = x - math.floor(x)
         s = self.mean_shift
         for k2p, ca, cb in self._scalar_modes:

@@ -23,6 +23,7 @@ from .levelindex import LevelReal, ZERO
 # below this bound (the int then has at most ~305 digits).
 _EXACT_EXP_BOUND = 700.0
 _REL = 1e-14  # relative widening when an exact integer enters float data
+_CF_RESOLVED = 1 << 48  # cf_expand: largest q^2 whose quotient a double fixes
 
 
 def _ln_int(n: int) -> float:
@@ -374,18 +375,28 @@ class Convergent:
 def cf_expand(x: float, depth: int) -> ContinuedFraction:
     """Expand x in (0, 1) into its first `depth` quotients via the Gauss map.
 
-    Raises RationalDetected if an iterate hits 0 to working precision, which
-    makes x indistinguishable from a rational.
+    Raises RationalDetected once x, a double, no longer determines the next
+    quotient: an iterate hits 0 to working precision, or the next convergent
+    denominator q has q^2 > 2^48.  The depth-k cylinder of x is ~1/q_k^2
+    wide and k Gauss steps amplify rounding by ~q_k^2, so past that point
+    (32 ulps of the cylinder) every rational close enough to x to be the
+    same double is a possible expansion.
     """
     if not 0.0 < x < 1.0:
         raise ValueError("cf_expand needs x strictly inside (0, 1)")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     qs = []
+    q_prev, q = 0, 1
     y = x
     for _ in range(depth):
         inv = 1.0 / y
         a = int(math.floor(inv))
+        q_prev, q = q, a * q + q_prev
+        if q * q > _CF_RESOLVED:
+            raise RationalDetected(
+                f"x does not determine quotient {len(qs) + 1} at double "
+                f"precision (q = {q})")
         qs.append(a)
         y = inv - a
         if y < 1e-12:

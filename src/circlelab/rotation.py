@@ -12,6 +12,11 @@ callback, so tuning decisions (is the rotation number left or right of the
 target?) only consume as much orbit as they need.  The tuning probe that
 ends on a two-sided bracket holding the target is itself the certificate:
 its estimate is read off that scan, and the orbit is not walked again.
+
+The scan walks the orbit reduced to [0, 1) with an integer winding count,
+so a return error at q ~ 10^6 carries the rounding of a number in [0, 1)
+(~1e-16 per step) rather than that of the lift, which has grown to ~q.  Its
+inner loop is plain float arithmetic with the map's mode sum inlined.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .contfrac import ContinuedFraction, FiniteTail
 from .errors import PeriodicOrbitDetected, TargetUnreachable
 
 RATIONAL_TOL = 1e-12
+_IMPROVE = 1.0 - 1e-12  # factor by which a return must beat its side's best
 _CHUNK = 1 << 16
 
 
@@ -84,15 +90,15 @@ class _ReturnScan:
     def offer(self, q: int, p: int, e: float) -> bool:
         """Record (q, p, e) if it improves its side; True when recorded."""
         best_both = min(self.best_pos, self.best_neg)
-        overall = abs(e) < best_both * (1.0 - 1e-12)
+        overall = abs(e) < best_both * _IMPROVE
         if e >= 0:
-            if e >= self.best_pos * (1.0 - 1e-12):
+            if e >= self.best_pos * _IMPROVE:
                 return False
             self.best_pos = e
             rec = ClosestReturn(q, p, e, overall)
             self.lower = rec
         else:
-            if -e >= self.best_neg * (1.0 - 1e-12):
+            if -e >= self.best_neg * _IMPROVE:
                 return False
             self.best_neg = -e
             rec = ClosestReturn(q, p, e, overall)
@@ -120,6 +126,16 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
                   stall_factor: Optional[int] = None) -> _ReturnScan:
     """Walk the orbit feeding the per-side return state; after each recorded
     return, stop(scan) may end the walk early.
+
+    The orbit is walked reduced: y in [0, 1) and an integer winding count w
+    with f^q(x0) = floor(x0) + w + y.  Each step adds the mode sum to y and
+    moves floor(y) into w, so y keeps the absolute precision of a number in
+    [0, 1) at every q, where the unreduced lift (of size ~q) rounds at
+    ~q * 1e-16 per step.  The return error e = f^q(x0) - x0 - p is y - y0
+    wrapped to [-1/2, 1/2), a difference that is exact at a close return
+    (both lie in [0, 1)), and p is w plus the wrap.  The mode sum is inlined,
+    and the return state is offered only the returns that beat their side's
+    best, by the same rule it applies itself.
 
     With stall_factor set, the walk also gives up once the orbit has run
     stall_factor times past the last recorded return: return gaps are
@@ -157,21 +173,45 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
                     return scan
             done += m
         return scan
-    x = float(x0)
-    step = f.step_scalar
-    for q in range(1, n_max + 1):
-        if q > stall_q:
-            break
-        x = step(x)
-        d = x - x0
-        p = round(d)
-        e = d - p
-        if scan.offer(q, int(p), e):
+    c = f.mean_shift
+    modes = f._scalar_modes
+    cos, sin, floor = math.cos, math.sin, math.floor
+    x0 = float(x0)
+    y0 = x0 - floor(x0)
+    y, w = y0, 0
+    thr_pos = thr_neg = math.inf
+    q = 0
+    while q < stall_q:
+        for q in range(q + 1, stall_q + 1):
+            s = c
+            for k2p, ca, cb in modes:
+                t = k2p * y
+                s += ca * cos(t) + cb * sin(t)
+            y += s
+            k = floor(y)
+            y -= k
+            w += k
+            d = y - y0
+            e = d
+            if e >= 0.5:
+                e -= 1.0
+            elif e < -0.5:
+                e += 1.0
+            if e >= 0.0:
+                if e >= thr_pos:
+                    continue
+            elif -e >= thr_neg:
+                continue
+            p = w + (d >= 0.5) - (d < -0.5)
+            scan.offer(q, p, e)  # records: e beat its side's threshold
+            thr_pos = scan.best_pos * _IMPROVE
+            thr_neg = scan.best_neg * _IMPROVE
             stall_q = stalled_at(q)
             if abs(e) < rational_tol:
-                raise PeriodicOrbitDetected(q, int(p), e)
+                raise PeriodicOrbitDetected(q, p, e)
             if stop(scan):
                 return scan
+            break  # the loop limit moved with the stall guard
     return scan
 
 

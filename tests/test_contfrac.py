@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab.contfrac import (ContinuedFraction, PeriodicTail,
@@ -81,6 +81,7 @@ def test_cf_expand_rational_detected(depth):
 
 
 @given(st.floats(min_value=0.01, max_value=0.99))
+@example(0.5238272512199454)  # q_8 = 70426315: past double precision
 @settings(max_examples=100)
 def test_cf_expand_reproduces_value(x):
     try:

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from circlelab.circlemap import AnalyticCircleMap, ArnoldFamily, conjugate_project, rotation
+from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
+                                 conjugate_project, iterate, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
-from circlelab.rotation import (closest_returns, eq_rot_check,
-                                quotients_from_returns, rho_interval,
-                                rotation_number_birkhoff,
+from circlelab.rotation import (RATIONAL_TOL, _scan_returns, closest_returns,
+                                eq_rot_check, quotients_from_returns,
+                                rho_interval, rotation_number_birkhoff,
                                 rotation_number_closest_return, tune_parameter)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -148,3 +149,89 @@ def test_eq_rot_residual_small_at_denominator_times():
     res_generic = eq_rot_check(f, 50)
     assert res_q < 10.0 / 55
     assert res_q < res_generic
+
+
+def _mp_lift_orbit(f, qs, dps=40):
+    """{q: f^q(0)} from a dps-digit mpmath orbit of the lift."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        c = mp.mpf(f.mean_shift)
+        modes = [(2 * mp.pi * k, mp.mpf(2.0 * v.real), mp.mpf(-2.0 * v.imag))
+                 for k, v in enumerate(f.coeffs.tolist(), 1)]
+        x = mp.mpf(0)
+        out = {}
+        for q in range(1, max(qs) + 1):
+            s = c
+            for k2p, ca, cb in modes:
+                t = k2p * x
+                s += ca * mp.cos(t) + cb * mp.sin(t)
+            x += s
+            if q in qs:
+                out[q] = x
+        return out
+
+
+def test_return_errors_do_not_drift(arnold_b005_golden):
+    # deep returns of the tuned golden map against a 40-digit orbit: an
+    # orbit kept on the unreduced lift (size ~q) rounds at ~q * 1e-16 per
+    # step and reads these errors off by ~1e-11 to 1e-10
+    f = arnold_b005_golden
+    qs = (46368, 75025)
+    scan = _scan_returns(f, 0.0, max(qs), lambda s: False, RATIONAL_TOL)
+    got = {r.q: r for r in scan.returns if r.q in qs}
+    assert sorted(got) == list(qs)
+    exact = _mp_lift_orbit(f, qs)
+    for q in qs:
+        r = got[q]
+        assert abs(r.err - float(exact[q] - r.p)) <= 1e-12
+
+
+def test_scalar_in_gives_float_out():
+    f = ArnoldFamily(0.3).map_at(0.61)
+    assert type(f.step_scalar(0.25)) is float
+    assert type(iterate(f, 0.25, 10)) is float
+    scan = _scan_returns(f, 0.0, 2000, lambda s: False, RATIONAL_TOL)
+    for r in scan.returns:
+        assert type(r.err) is float and type(r.overall) is bool
+    for est in (rho_interval(f, 1e-6, stall_factor=64),
+                rotation_number_closest_return(f, 0.0, depth=6),
+                rotation_number_birkhoff(f, 0.0, 100)):
+        assert type(est.value) is float and type(est.error_bound) is float
+
+
+T, F = True, False
+# (q, p, overall) of every return recorded in 20000 steps from x0 = 0: what
+# a scan that offers every step to _ReturnScan.offer records
+_RETURNS_REFERENCE = {
+    (0.05, 0.61): [
+        (1, 1, T), (2, 1, T), (3, 2, T), (5, 3, T), (8, 5, F), (13, 8, F),
+        (18, 11, T), (23, 14, F), (41, 25, T), (59, 36, T), (100, 61, T),
+        (159, 97, F), (259, 158, T), (359, 219, F), (618, 377, F),
+        (877, 535, F), (1136, 693, T), (1395, 851, T), (2531, 1544, F),
+        (3926, 2395, F), (5321, 3246, F), (6716, 4097, F), (8111, 4948, F),
+        (9506, 5799, F), (10901, 6650, T), (12296, 7501, T),
+    ],
+    (0.9, 0.605): [
+        (1, 1, T), (2, 1, T), (3, 2, F), (5, 3, T), (8, 5, F), (13, 8, T),
+        (18, 11, F), (31, 19, T), (44, 27, T), (57, 35, F), (101, 62, F),
+        (145, 89, F), (189, 116, F), (233, 143, T), (277, 170, F),
+        (510, 313, T), (743, 456, T), (1253, 769, F), (1996, 1225, F),
+        (2739, 1681, F), (3482, 2137, T), (4225, 2593, F), (7707, 4730, F),
+        (11189, 6867, F), (14671, 9004, F), (18153, 11141, F),
+    ],
+    (0.3, 0.4142): [
+        (1, 0, T), (2, 1, T), (3, 1, F), (5, 2, T), (7, 3, F), (12, 5, T),
+        (17, 7, T), (29, 12, T), (46, 19, T), (75, 31, T), (121, 50, F),
+        (196, 81, T), (271, 112, F), (467, 193, F), (663, 274, F),
+        (859, 355, T), (1055, 436, T), (1914, 791, T), (2969, 1227, T),
+        (4883, 2018, T), (7852, 3245, F), (12735, 5263, F), (17618, 7281, F),
+    ],
+}
+
+
+@pytest.mark.parametrize("b, a", sorted(_RETURNS_REFERENCE))
+def test_scan_records_the_reference_returns(b, a):
+    f = ArnoldFamily(b).map_at(a)
+    scan = _scan_returns(f, 0.0, 20000, lambda s: False, RATIONAL_TOL)
+    got = [(r.q, r.p, r.overall) for r in scan.returns]
+    assert got == _RETURNS_REFERENCE[(b, a)]
