@@ -61,8 +61,7 @@ def diophantine_estimate(cf: ContinuedFraction, sigma: float,
         raise ValueError("depth must be >= 2")
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    alo, ahi = cf.shifted_value_bracket(0)
-    values = [_dioph_value(cf, k, sigma, alo, ahi) for k in range(1, depth + 1)]
+    values = [_dioph_value(cf, k, sigma) for k in range(1, depth + 1)]
     gamma_hat = min(v for v in values if math.isfinite(v))
     attained = values.index(gamma_hat) + 1
     certified = (depth >= 5 and gamma_hat > 0.0
@@ -72,26 +71,31 @@ def diophantine_estimate(cf: ContinuedFraction, sigma: float,
                                tuple(values))
 
 
-def _dioph_value(cf, k, sigma, alo, ahi) -> float:
-    """q_k^(2+sigma) |alpha - p_k/q_k|, via exact fractions while convergents
-    allow it, via log data past that point."""
+def _dioph_value(cf, k, sigma) -> float:
+    """q_k^(2+sigma) |alpha - p_k/q_k|, rounded down: with exact convergents
+    q_k^(1+sigma) / (q_{k+1} + alpha_{k+1} q_k), the Gauss iterate
+    alpha_{k+1} = G^(k+1)(alpha) taken at the top of its bracket; past them,
+    from log data."""
     try:
-        p, q = cf.convergent(k)
-        d = min(abs(alo - Fraction(p, q)), abs(ahi - Fraction(p, q)))
-        scale = float(q) ** sigma if float(q) != math.inf else math.inf
-        if math.isinf(scale):
-            raise ExactnessExhausted("q too large for direct power")
-        return float(q * q * d) * scale
+        _, q = cf.convergent(k)
+        try:
+            _, q1 = cf.convergent(k + 1)
+            t = Fraction(cf.gauss_iterate_interval(k + 1)[1])
+        except DepthExhausted:  # a finite fraction ends at p_k/q_k = alpha
+            return 0.0
+        except RationalDetected:  # ... or at p_{k+1}/q_{k+1}: alpha_{k+1} = 0
+            t = Fraction(0)
+        # the roundings sum to < sigma + 6 half-ulps; 2 sigma + 8 come off
+        return (float(Fraction(q) / (q1 + t * q)) * float(q) ** sigma
+                * (1.0 - (sigma + 4.0) * 2.0 ** -52))
     except (ExactnessExhausted, OverflowError):
         # ln value = (1+sigma) ln q_k + ln beta_k,
         # beta_k = 1/(q_{k+1} + alpha_{k+1} q_k) in (1/(q_{k+1}+q_k), 1/q_{k+1})
-        lnq_lo, lnq_hi = cf.lnq_interval(k)
-        lnq1_lo, _ = cf.lnq_interval(k + 1)
-        t = lnq1_lo.diff(lnq_hi.scale(1.0 + sigma)) if \
-            lnq1_lo >= lnq_hi.scale(1.0 + sigma) else None
-        if t is None:
+        top = cf.lnq_interval(k)[1].scale(1.0 + sigma)
+        lnq1_lo = cf.lnq_interval(k + 1)[0]
+        if not lnq1_lo >= top:
             return math.inf  # no bound available at this depth
-        tf = t.to_float()
+        tf = lnq1_lo.diff(top).to_float()
         return 0.0 if tf > 745.0 else math.exp(-tf)
 
 

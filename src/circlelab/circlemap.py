@@ -19,6 +19,7 @@ Every constructed map is certified orientation-preserving: Df > 0 on a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -199,22 +200,17 @@ def orbit_lift(f: AnalyticCircleMap, x: ArrayLike, n: int) -> np.ndarray:
     return out
 
 
-def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
-                         order: int = 0) -> ArrayLike:
-    """D^order ln Df^n(x) for order 0..3, by forward accumulation along the
-    orbit (chain rule through the iterates; derivative products of the
-    iterate are carried alongside)."""
-    if order < 0 or order > 3:
-        raise ValueError("order must be in 0..3")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    scalar = np.ndim(x) == 0
-    cur = np.atleast_1d(np.asarray(x, dtype=float)).copy()
+def _log_derivative_steps(f: AnalyticCircleMap, x: np.ndarray, order: int):
+    """Yield (D^order ln Df^i(x), Df^i(x)) after each step i along the orbit
+    of the 1-d array x: the chain rule through the iterates, their derivative
+    products carried alongside.  The first array is updated in place; for
+    order >= 1, Df^i above _BLOWUP_GUARD raises DerivativeBlowup."""
+    cur = x
     s = np.zeros_like(cur)
     a = np.ones_like(cur)   # Df^i
     b = np.zeros_like(cur)  # D2f^i
     c = np.zeros_like(cur)  # D3f^i
-    for _ in range(n):
+    while True:
         # f and D1f..D^{order+1}f at the current points, from one z
         fx, f1, *hi = _eval_modes(f, cur, range(order + 2))
         if order == 0:
@@ -237,14 +233,27 @@ def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
                 c = f3 * a**3 + 3.0 * f2 * a * b + f1 * c
             if order >= 2:
                 b = f2 * a * a + f1 * b
-            a = f1 * a
-        if order == 0:
-            pass
-        elif np.max(np.abs(a)) > _BLOWUP_GUARD:
+        a = f1 * a
+        if order and np.max(np.abs(a)) > _BLOWUP_GUARD:
             raise DerivativeBlowup(
                 f"orbit derivative product exceeded {_BLOWUP_GUARD:g}")
         cur = fx
-    return float(s[0]) if scalar else s.reshape(np.shape(x))
+        yield s, a
+
+
+def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
+                         order: int = 0) -> ArrayLike:
+    """D^order ln Df^n(x) for order 0..3: n steps of the forward
+    accumulation in `_log_derivative_steps`."""
+    if order < 0 or order > 3:
+        raise ValueError("order must be in 0..3")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    cur = np.atleast_1d(np.asarray(x, dtype=float))
+    s = np.zeros_like(cur)
+    for s, _ in itertools.islice(_log_derivative_steps(f, cur, order), n):
+        pass
+    return float(s[0]) if np.ndim(x) == 0 else s.reshape(np.shape(x))
 
 
 def inverse(f: AnalyticCircleMap, y: ArrayLike) -> ArrayLike:

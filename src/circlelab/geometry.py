@@ -15,14 +15,15 @@ observations, never universal claims.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .circlemap import (AnalyticCircleMap, _eval_modes, derivative, iterate,
-                        log_derivative_variation, orbit_lift,
+from .circlemap import (AnalyticCircleMap, _log_derivative_steps, derivative,
+                        iterate, log_derivative_variation, orbit_lift,
                         orbit_log_derivative)
 from .contfrac import cf_expand, convergents
 from .errors import EmptyWindow, PeriodicOrbitDetected, TilingFailure
@@ -73,7 +74,7 @@ def build_partition(f: AnalyticCircleMap, n: int,
     certified extrema, plus the tiling checks (total length 1 within 1e-9,
     pairwise-disjoint interiors)."""
     if rho is None:
-        rho = rho_interval(f, 1e-10, x0=x0, stall_factor=64).value
+        rho = rho_interval(f, 1e-10, x0=x0).value
     if chain is None:
         chain = pq_chain(rho, n + 1)
     if len(chain) < n + 2:
@@ -198,39 +199,31 @@ class GrowthCheck:
 
 
 def derivative_growth_check(f: AnalyticCircleMap, n: int,
-                            level: PartitionLevel, order: int = 1,
-                            j_samples: Optional[Sequence[int]] = None
+                            level: PartitionLevel, order: int = 1
                             ) -> GrowthCheck:
     """Empirical constants for the orbit-derivative growth bound
-    |D^r ln Df^j| <= C (sqrt(M_n)/beta_n)^r over sampled j <= q_{n+1}, and
-    for the disjoint-interval power sums sum_i (Df^i)^l <= C M^(l-1)/beta^l
-    at l = 1, 2."""
+    |D^r ln Df^j| <= C (sqrt(M_n)/beta_n)^r at j in {1, q/3, 2q/3, q}, and
+    for the disjoint-interval power sums sum_{i<q} (Df^i)^l <= C M^(l-1)/beta^l
+    at l = 1, 2 (q = q_{n+1}), from one q-step orbit walk over the grid."""
     if not 1 <= order <= 3:
         raise ValueError("order must be 1..3")
     q1 = level.q_next
-    if j_samples is None:
-        j_samples = sorted({1, max(1, q1 // 3), max(1, (2 * q1) // 3), q1})
-    if any(j < 1 or j > q1 for j in j_samples):
-        raise ValueError("j samples must sit in [1, q_{n+1}]")
+    j_samples = sorted({1, max(1, q1 // 3), max(1, (2 * q1) // 3), q1})
     scale = (level.beta / math.sqrt(level.M)) ** order
     c_best, witness = 0.0, (0, 0.0)
-    for j in j_samples:
-        d = orbit_log_derivative(f, level.grid, j, order)
-        vals = np.abs(d) * scale
-        i = int(np.argmax(vals))
-        if vals[i] > c_best:
-            c_best = float(vals[i])
-            witness = (j, float(level.grid[i]))
-    # power sums along the orbit, all grid points at once
-    a = np.ones_like(level.grid)
     s1 = np.ones_like(level.grid)
     s2 = np.ones_like(level.grid)
-    x = level.grid
-    for _ in range(q1 - 1):
-        x, df = _eval_modes(f, x, (0, 1))
-        a = a * df
-        s1 += a
-        s2 += a * a
+    steps = _log_derivative_steps(f, level.grid, order)
+    for j, (d, a) in enumerate(itertools.islice(steps, q1), 1):
+        if j < q1:
+            s1 += a
+            s2 += a * a
+        if j in j_samples:
+            vals = np.abs(d) * scale
+            i = int(np.argmax(vals))
+            if vals[i] > c_best:
+                c_best = float(vals[i])
+                witness = (j, float(level.grid[i]))
     c_sums = {
         1: float(np.max(s1 * level.beta)),
         2: float(np.max(s2 * level.beta ** 2 / level.M)),
@@ -421,7 +414,7 @@ def geometry_report(f: AnalyticCircleMap, n_max: int, smoothness: int = 3,
     """Build levels 1..n_max and run every per-level check."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rho_est = rho_interval(f, 1e-10, x0=x0, stall_factor=64)
+    rho_est = rho_interval(f, 1e-10, x0=x0)
     rho = rho_est.value
     chain = pq_chain(rho, n_max + 1)
     var = log_derivative_variation(f)

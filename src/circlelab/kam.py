@@ -54,7 +54,6 @@ class KamConfig:
     max_steps: int = 14
     divisor_floor: float = 1e-8
     threshold: float = 1e-11
-    safety_norm: float = 0.25
     alias_tol: float = 1e-4
 
     def nu_at(self, n: int) -> float:
@@ -234,7 +233,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
     alo, ahi = config.alpha_cf.value_interval()
     alpha = 0.5 * (alo + ahi)
     if check_rotation and f.degree > 0:
-        est = rho_interval(f, 1e-7, stall_factor=32, n_cap=400000)
+        est = rho_interval(f, 1e-7, n_cap=400000)
         if abs(est.value - alpha) > max(1e-5, 2 * est.error_bound):
             raise ValueError(
                 f"rotation number {est.value:.9f} does not match the target "
@@ -386,7 +385,7 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
     h_vals = orb[:n].sum(axis=0) / n
     if rho is None:
         eps = 1e-12 if f.degree == 0 else 1e-10
-        rho = rho_interval(f, eps, stall_factor=64).value
+        rho = rho_interval(f, eps).value
     defect = float(np.max(np.abs((orb[n] - orb[0]) / n - rho)))
     if float(dh.min()) <= 1e-12:
         raise NotMonotone(f"averaged conjugacy has min slope {dh.min():.3e}")

@@ -171,9 +171,7 @@ class LevelReal:
             if not math.isfinite(lf) or lf > 745.0:
                 return ZERO
             return LevelReal.from_float(self.m * math.exp(-lf))
-        lnself = self.log() if self.level > 0 or self.m >= 1.0 else None
-        if lnself is None:  # unreachable: small case handled above
-            return ZERO
+        lnself = self.log()
         if lnself >= L:
             return lnself.diff(L).exp()
         t = L.diff(lnself).to_float()

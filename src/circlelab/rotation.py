@@ -34,6 +34,7 @@ from .errors import PeriodicOrbitDetected, TargetUnreachable
 RATIONAL_TOL = 1e-12
 _IMPROVE = 1.0 - 1e-12  # factor by which a return must beat its side's best
 _CHUNK = 1 << 16
+_STALL = 64  # stall guard of rho_interval and _probe (see _scan_returns)
 
 
 @dataclass(frozen=True)
@@ -229,12 +230,9 @@ def closest_returns(f: AnalyticCircleMap, x0: float = 0.0,
     rationality detector to fire.
     """
     base = iterate(f, x0, burn_in) if burn_in else x0
-    if max_returns is None:
-        scan = _scan_returns(f, base, n_max, lambda s: False, rational_tol)
-    else:
-        scan = _scan_returns(f, base, n_max,
-                             lambda s: s.overall_count >= max_returns,
-                             rational_tol)
+    limit = math.inf if max_returns is None else max_returns
+    scan = _scan_returns(f, base, n_max, lambda s: s.overall_count >= limit,
+                         rational_tol)
     return scan.overall_returns()
 
 
@@ -261,7 +259,8 @@ def quotients_from_returns(returns: list[ClosestReturn]) -> Optional[list[int]]:
     return quots if all(a >= 1 for a in quots) else None
 
 
-def _estimate_from(scan: _ReturnScan, n_used: int) -> Optional[RotationEstimate]:
+def _estimate_from(scan: _ReturnScan) -> Optional[RotationEstimate]:
+    """The mediant estimate of the bracket (n: the last return), or None."""
     br = scan.bracket()
     if br is None:
         return None
@@ -270,7 +269,7 @@ def _estimate_from(scan: _ReturnScan, n_used: int) -> Optional[RotationEstimate]
     value = ((ra.p + rb.p) / (ra.q + rb.q)) % 1.0
     quots = quotients_from_returns(scan.overall_returns())
     return RotationEstimate(value=value, method="closest_return",
-                            n=n_used, error_bound=hi - lo,
+                            n=scan.returns[-1].q, error_bound=hi - lo,
                             extracted_quotients=tuple(quots) if quots else None,
                             bracket=(lo, hi))
 
@@ -286,21 +285,20 @@ def rotation_number_closest_return(f: AnalyticCircleMap, x0: float = 0.0,
     base = iterate(f, x0, burn_in) if burn_in else x0
     scan = _scan_returns(f, base, n_max,
                          lambda s: s.overall_count >= depth + 2, RATIONAL_TOL)
-    est = _estimate_from(scan, scan.returns[-1].q if scan.returns else n_max)
+    est = _estimate_from(scan)
     if est is None:
         return rotation_number_birkhoff(f, x0, n_max)
     return est
 
 
 def rho_interval(f: AnalyticCircleMap, eps: float, x0: float = 0.0,
-                 n_cap: int = 8_000_000,
-                 stall_factor: Optional[int] = None) -> RotationEstimate:
+                 n_cap: int = 8_000_000) -> RotationEstimate:
     """Closest-return estimate refined until its certified bracket is
-    narrower than eps (or the orbit cap / stall guard ends the scan).
+    narrower than eps (or the orbit cap / the _STALL guard ends the scan).
     PeriodicOrbitDetected propagates."""
     scan = _scan_returns(f, x0, n_cap, lambda s: s.width() <= eps,
-                         RATIONAL_TOL, stall_factor)
-    est = _estimate_from(scan, scan.returns[-1].q if scan.returns else n_cap)
+                         RATIONAL_TOL, _STALL)
+    est = _estimate_from(scan)
     if est is None:
         return rotation_number_birkhoff(f, x0, max(1024, min(n_cap, int(2.0 / eps))))
     return est
@@ -317,20 +315,17 @@ def _probe(f: AnalyticCircleMap, alpha: float, eps: float, x0: float,
     enough to steer a root find even where certified returns have stalled.
 
     The estimate comes when the scan ends on a bracket of width <= eps
-    holding alpha: the first such return, where rho_interval(f, eps) stops
-    too under any stall guard at least as loose as this one's.
+    holding alpha: the first such return, where rho_interval(f, eps), under
+    the same stall guard, stops too.
     """
     def stop(s: _ReturnScan) -> bool:
-        br = s.bracket()
-        if br is not None and (br[1] < alpha or br[0] > alpha):
-            return True
         if s.lower is not None and s.lower.p / s.lower.q > alpha:
             return True
         if s.upper is not None and s.upper.p / s.upper.q < alpha:
             return True
         return s.width() <= eps
 
-    scan = _scan_returns(f, x0, n_cap, stop, RATIONAL_TOL, stall_factor=16)
+    scan = _scan_returns(f, x0, n_cap, stop, RATIONAL_TOL, _STALL)
     if not scan.returns:
         b = rotation_number_birkhoff(f, x0, 4096)
         return b.value - alpha, None
@@ -338,7 +333,7 @@ def _probe(f: AnalyticCircleMap, alpha: float, eps: float, x0: float,
     dev = (r.p + r.err) / r.q - alpha
     br = scan.bracket()
     if scan.width() <= eps and br[0] <= alpha <= br[1]:
-        return dev, _estimate_from(scan, r.q)
+        return dev, _estimate_from(scan)
     return dev, None
 
 
@@ -402,7 +397,7 @@ def eq_rot_check(f: AnalyticCircleMap, n: int, x0: float = 0.0) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     eps = 1e-12 if f.degree == 0 else 1e-10  # rotations certify cheaply
-    rho = rho_interval(f, eps, x0, stall_factor=64)
+    rho = rho_interval(f, eps, x0)
     avg = (iterate(f, x0, n) - x0) / n
     d = abs(avg % 1.0 - rho.value)
     return min(d, 1.0 - d)

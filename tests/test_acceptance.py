@@ -215,7 +215,7 @@ def test_criterion_11_koksma(suite):
         rng = np.random.default_rng(99)
         pairs = list(zip(rng.uniform(0, 1, 100), rng.uniform(0, 1, 100)))
         f = suite[(0.3, "golden")]
-        rho = rho_interval(f, 1e-10, stall_factor=64).value
+        rho = rho_interval(f, 1e-10).value
         for n in (4, 5, 6):
             v = koksma_check(lambda t: np.sin(2 * np.pi * t), GOLDEN, n,
                              pairs, var=4.0)

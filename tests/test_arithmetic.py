@@ -59,6 +59,43 @@ def test_diophantine_sqrt2_matches_oracle():
     assert est.certified
 
 
+def _periodic_dioph_oracle(period, sigma, depth, mp):
+    """q_k^(2+sigma) |alpha - p_k/q_k| for k = 1..depth, alpha the purely
+    periodic fraction [0; period, period, ...] summed backwards over 400
+    quotients in mpmath (error below 1e-150)."""
+    alpha = mp.mpf(0)
+    for k in range(400, 0, -1):
+        alpha = 1 / (period[(k - 1) % len(period)] + alpha)
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    out = []
+    for k in range(depth):
+        a = period[k % len(period)]
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        out.append(mp.mpf(q1) ** (2 + mp.mpf(sigma))
+                   * abs(alpha - mp.mpf(p1) / q1))
+    return out
+
+
+def test_diophantine_values_are_lower_bounds_against_mpmath():
+    # the per-convergent values bound the true ones from below, also once
+    # p_k/q_k is closer to alpha than a fixed-depth bracket of alpha resolves
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(8)
+    periods = [[9, 2, 7]] + [
+        [rng.randint(1, 9) for _ in range(rng.randint(1, 4))] for _ in range(60)]
+    depth = 30
+    with mp.workdps(200):
+        for period in periods:
+            for sigma in (0.0, 0.5):
+                est = diophantine_estimate(ContinuedFraction.periodic(period),
+                                           sigma, depth)
+                ref = _periodic_dioph_oracle(period, sigma, depth, mp)
+                for k, (v, r) in enumerate(zip(est.values, ref), 1):
+                    assert v <= r, (period, sigma, k)
+                    assert v >= r * (1 - 1e-12), (period, sigma, k)
+
+
 def test_diophantine_exp_rule_decays():
     est = diophantine_estimate(ContinuedFraction.rule("exp_round", a1=3), 0.0, 6)
     assert est.gamma_hat < 1e-3

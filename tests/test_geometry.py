@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab.circlemap import ArnoldFamily, orbit_log_derivative, rotation
+from circlelab.circlemap import (ArnoldFamily, derivative, evaluate,
+                                 orbit_log_derivative, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import EmptyWindow, PeriodicOrbitDetected
 from circlelab.geometry import (GeometryReport, beta_recursion_check,
@@ -137,6 +138,45 @@ def test_growth_order_two_scaling(arnold_b03_golden, arnold_report):
     assert g2.c_estimate > 0
     ratio = g2.c_estimate / g1.c_estimate ** 2
     assert 1e-2 < ratio < 1e2
+
+
+def _growth_reference(f, lev, order):
+    """The growth check as four orbit walks from scratch, one per sampled j,
+    and a fifth for the power sums: (c_estimate, witness, c_power_sums)."""
+    q1 = lev.q_next
+    scale = (lev.beta / math.sqrt(lev.M)) ** order
+    c_best, witness = 0.0, (0, 0.0)
+    for j in sorted({1, max(1, q1 // 3), max(1, (2 * q1) // 3), q1}):
+        vals = np.abs(orbit_log_derivative(f, lev.grid, j, order)) * scale
+        i = int(np.argmax(vals))
+        if vals[i] > c_best:
+            c_best, witness = float(vals[i]), (j, float(lev.grid[i]))
+    a = np.ones_like(lev.grid)
+    s1 = np.ones_like(lev.grid)
+    s2 = np.ones_like(lev.grid)
+    x = lev.grid
+    for _ in range(q1 - 1):
+        df = derivative(f, x, 1)
+        x = evaluate(f, x)
+        a = a * df
+        s1 += a
+        s2 += a * a
+    return c_best, witness, {1: float(np.max(s1 * lev.beta)),
+                             2: float(np.max(s2 * lev.beta ** 2 / lev.M))}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_growth_check_matches_separate_walks(arnold_b03_golden, arnold_report,
+                                             order):
+    f = arnold_b03_golden
+    for lev in arnold_report.levels:
+        g = derivative_growth_check(f, lev.n, lev, order=order)
+        q1 = lev.q_next
+        assert (g.n, g.order) == (lev.n, order)
+        assert g.j_samples == tuple(sorted({1, max(1, q1 // 3),
+                                            max(1, (2 * q1) // 3), q1}))
+        assert (g.c_estimate, g.witness, g.c_power_sums) == \
+            _growth_reference(f, lev, order)
 
 
 def test_beta_recursion_constants_and_bounds(arnold_report):

@@ -65,7 +65,7 @@ def test_tuned_map_extracts_target_quotients():
     f = ArnoldFamily(0.3).map_at(a)
     # the accepted probe is the certificate: the same estimate a full
     # rescan of the tuned map gives, a bracket holding the target, tol/2 wide
-    assert est == rho_interval(f, tol / 2, stall_factor=64)
+    assert est == rho_interval(f, tol / 2)
     lo, hi = est.bracket
     assert lo <= GOLDEN <= hi
     assert est.error_bound == hi - lo <= tol / 2
@@ -111,7 +111,7 @@ def test_monotone_in_parameter():
     vals = []
     for a in np.linspace(0.05, 0.95, 7):
         try:
-            est = rho_interval(fam.map_at(a), 1e-6, stall_factor=64)
+            est = rho_interval(fam.map_at(a), 1e-6)
             vals.append(est.value)
         except PeriodicOrbitDetected as po:
             vals.append((po.p / po.q) % 1.0)
@@ -131,8 +131,8 @@ def test_conjugation_invariance_of_rotation_number():
     f = ArnoldFamily(0.2).map_at(0.61)
     h = AnalyticCircleMap(0.0, np.array([0.015 + 0.01j]))
     g = conjugate_project(h, f, 16).map
-    ef = rho_interval(f, 1e-8, stall_factor=64)
-    eg = rho_interval(g, 1e-8, stall_factor=64)
+    ef = rho_interval(f, 1e-8)
+    eg = rho_interval(g, 1e-8)
     # conjugation changes the map but not the rotation number; the projected
     # conjugate carries a small spectral tail, so allow it in the bound
     assert abs(ef.value - eg.value) <= ef.error_bound + eg.error_bound + 1e-7
@@ -193,7 +193,7 @@ def test_scalar_in_gives_float_out():
     scan = _scan_returns(f, 0.0, 2000, lambda s: False, RATIONAL_TOL)
     for r in scan.returns:
         assert type(r.err) is float and type(r.overall) is bool
-    for est in (rho_interval(f, 1e-6, stall_factor=64),
+    for est in (rho_interval(f, 1e-6),
                 rotation_number_closest_return(f, 0.0, depth=6),
                 rotation_number_birkhoff(f, 0.0, 100)):
         assert type(est.value) is float and type(est.error_bound) is float
