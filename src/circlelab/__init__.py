@@ -32,8 +32,9 @@ from .geometry import (GeometryReport, PartitionLevel, beta_recursion_check,
 from .kam import (HermanResult, KamConfig, KamResult, KamTrace,
                   herman_average, kam_iterate, kam_step,
                   linearization_defect, solve_homological)
-from .rotation import (ClosestReturn, RotationEstimate, closest_returns,
-                       eq_rot_check, rho_interval, rotation_number_birkhoff,
+from .rotation import (ClosestReturn, RotationEstimate, closest_return_batch,
+                       closest_returns, eq_rot_check, rho_interval,
+                       rotation_number_birkhoff,
                        rotation_number_closest_return, tune_parameter)
 
 __all__ = [
@@ -50,7 +51,8 @@ __all__ = [
     "inverse", "iterate", "log_derivative_variation", "map_from_json",
     "orbit_lift", "orbit_log_derivative", "rotation", "strip_norm",
     # rotation numbers
-    "ClosestReturn", "RotationEstimate", "closest_returns", "eq_rot_check",
+    "ClosestReturn", "RotationEstimate", "closest_return_batch",
+    "closest_returns", "eq_rot_check",
     "rho_interval", "rotation_number_birkhoff",
     "rotation_number_closest_return", "tune_parameter",
     # linearization scheme

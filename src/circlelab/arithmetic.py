@@ -29,6 +29,7 @@ from .levelindex import ZERO, LevelReal
 
 _GUARD = 1e-9  # decision guard band (absolute at level 0, mantissa above)
 _TAIL_FLOOR = 1e-300
+_LN2 = math.nextafter(math.log(2.0), math.inf)  # above ln 2
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +63,7 @@ def diophantine_estimate(cf: ContinuedFraction, sigma: float,
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     values = [_dioph_value(cf, k, sigma) for k in range(1, depth + 1)]
-    gamma_hat = min(v for v in values if math.isfinite(v))
+    gamma_hat = min(values)
     attained = values.index(gamma_hat) + 1
     certified = (depth >= 5 and gamma_hat > 0.0
                  and attained <= depth - 3
@@ -75,7 +76,7 @@ def _dioph_value(cf, k, sigma) -> float:
     """q_k^(2+sigma) |alpha - p_k/q_k|, rounded down: with exact convergents
     q_k^(1+sigma) / (q_{k+1} + alpha_{k+1} q_k), the Gauss iterate
     alpha_{k+1} = G^(k+1)(alpha) taken at the top of its bracket; past them,
-    from log data."""
+    q_k^(1+sigma) / (2 q_{k+1}) from the log brackets of q_k and q_{k+1}."""
     try:
         _, q = cf.convergent(k)
         try:
@@ -89,14 +90,18 @@ def _dioph_value(cf, k, sigma) -> float:
         return (float(Fraction(q) / (q1 + t * q)) * float(q) ** sigma
                 * (1.0 - (sigma + 4.0) * 2.0 ** -52))
     except (ExactnessExhausted, OverflowError):
-        # ln value = (1+sigma) ln q_k + ln beta_k,
-        # beta_k = 1/(q_{k+1} + alpha_{k+1} q_k) in (1/(q_{k+1}+q_k), 1/q_{k+1})
-        top = cf.lnq_interval(k)[1].scale(1.0 + sigma)
-        lnq1_lo = cf.lnq_interval(k + 1)[0]
-        if not lnq1_lo >= top:
-            return math.inf  # no bound available at this depth
-        tf = lnq1_lo.diff(top).to_float()
-        return 0.0 if tf > 745.0 else math.exp(-tf)
+        # beta_k = 1/(q_{k+1} + alpha_{k+1} q_k) > 1/(2 q_{k+1}), so the value
+        # exceeds exp((1+sigma) ln q_k - ln q_{k+1} - ln 2): ln q_k from the
+        # bottom of its bracket, ln q_{k+1} from the top
+        lnq = cf.lnq_interval(k)[0].to_float() * (1.0 + sigma)
+        lnq1 = cf.lnq_interval(k + 1)[1].to_float() + _LN2
+        if not math.isfinite(lnq + lnq1):  # past float range: 0 bounds it
+            return 0.0
+        # the float sum rounds by < 4 half-ulps of its largest operand
+        t = lnq1 - lnq + 4.0 * 2.0 ** -52 * (lnq1 + lnq)
+        if t > 745.0:
+            return 0.0
+        return math.exp(min(-t, 709.0)) * (1.0 - 4.0 * 2.0 ** -52)
 
 
 # ---------------------------------------------------------------------------

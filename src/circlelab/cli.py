@@ -8,8 +8,13 @@ verdict, 2 computed a negative one (diverged, fail_at, rational rotation
 number, unreachable target), 1 means the computation itself failed.
 
 Identical configs (seed included) produce byte-identical CSV outputs at any
-worker count: cell work functions are pure, inputs are scalars, and rows are
-merged in canonical order.
+worker count.  tongue-scan walks the orbits of a whole slice of its grid in
+one batched closest-return scan (`rotation.closest_return_batch`), whose
+per-cell arithmetic is that of the per-cell scan and does not depend on the
+other cells; with --workers k the grid splits into k contiguous slices, one
+per process, and rows are merged in canonical order.  tongues.json counts
+the cells by how their rotation number was read: closest returns, the
+Birkhoff-average fallback, or a locked (periodic) orbit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (CircleLabError, NotBrjuno, NotDiffeomorphism,
                      PeriodicOrbitDetected, RationalDetected, TargetUnreachable)
 from .geometry import bootstrap_schedule, geometry_report
 from .kam import KamConfig, kam_iterate
-from .rotation import (rotation_number_birkhoff,
+from .rotation import (closest_return_batch, rotation_number_birkhoff,
                        rotation_number_closest_return, tune_parameter)
 
 EXIT_OK = 0
@@ -247,35 +252,42 @@ def run_geometry(cfg: dict, g: dict, args) -> tuple:
     return EXIT_OK, "geometry.json", rep.to_json_summary()
 
 
-def _tongue_cell(args) -> tuple:
-    ia, ib, a, b, n_max, burn_in, x0 = args
-    f = ArnoldFamily(b).map_at(a)
-    try:
-        est = rotation_number_closest_return(f, x0, depth=24, n_max=n_max,
-                                             burn_in=burn_in)
-        return (ia, ib, a, b, est.value, False, est.error_bound)
-    except PeriodicOrbitDetected as po:
-        return (ia, ib, a, b, (po.p / po.q) % 1.0, True, 0.0)
+def _tongue_cell(cells: list, n_max: int, burn_in: int) -> list:
+    """Rows (ia, ib, a, b, rho, locked, err_bound, method) of a slice of grid
+    cells (ia, ib, a, b, x0), their orbits walked together."""
+    maps = [ArnoldFamily(b).map_at(a) for _, _, a, b, _ in cells]
+    results = closest_return_batch(maps, [c[4] for c in cells], depth=24,
+                                   n_max=n_max, burn_in=burn_in)
+    return [(*cell[:4], (r.p / r.q) % 1.0, True, 0.0, "locked")
+            if isinstance(r, PeriodicOrbitDetected)
+            else (*cell[:4], r.value, False, r.error_bound, r.method)
+            for cell, r in zip(cells, results)]
 
 
 def run_tongue_scan(cfg: dict, s: dict, args) -> tuple:
     na, nb, workers = s["na"], s["nb"], args.workers
     a0, a1, b0, b1 = s["a_min"], s["a_max"], s["b_min"], s["b_max"]
     cells = [(ia, ib, a0 + (a1 - a0) * ia / max(na - 1, 1),
-              b0 + (b1 - b0) * ib / max(nb - 1, 1), s["n_max"], s["burn_in"],
+              b0 + (b1 - b0) * ib / max(nb - 1, 1),
               _splitmix01(args.seed, ia * nb + ib))
              for ia in range(na) for ib in range(nb)]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_tongue_cell, cells,
-                               chunksize=max(1, len(cells) // (4 * workers))))
+    n_max, burn_in = s["n_max"], s["burn_in"]
+    if workers > 1:  # one contiguous slice of the grid per worker
+        k = min(workers, len(cells))
+        slices = [cells[i * len(cells) // k:(i + 1) * len(cells) // k]
+                  for i in range(k)]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=k) as ex:
+            parts = ex.map(_tongue_cell, slices, [n_max] * k, [burn_in] * k)
+            rows = [r for part in parts for r in part]
     else:
-        rows = [_tongue_cell(c) for c in cells]
-    lines = ["ia,ib,a,b,rho,locked,err_bound"] + [",".join(map(_fmt, r))
+        rows = _tongue_cell(cells, n_max, burn_in)
+    lines = ["ia,ib,a,b,rho,locked,err_bound"] + [",".join(map(_fmt, r[:7]))
                                                   for r in rows]
     (args.out / "tongues.csv").write_text("\n".join(lines) + "\n")
+    methods = {m: sum(r[7] == m for r in rows)
+               for m in ("closest_return", "birkhoff", "locked")}
     return EXIT_OK, "tongues.json", {"cells": len(rows), "workers": workers,
-                                     "seed": args.seed}
+                                     "seed": args.seed, "methods": methods}
 
 
 def run_bootstrap(cfg: dict, b: dict, args) -> tuple:

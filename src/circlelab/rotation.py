@@ -17,6 +17,12 @@ The scan walks the orbit reduced to [0, 1) with an integer winding count,
 so a return error at q ~ 10^6 carries the rounding of a number in [0, 1)
 (~1e-16 per step) rather than that of the lift, which has grown to ~q.  Its
 inner loop is plain float arithmetic with the map's mode sum inlined.
+
+Many short scans, such as the cells of a tongue picture, run as one batch
+(`closest_return_batch`): every map's orbit is one entry of a numpy array,
+stepped with the same float operations as the scalar loop (libm cosine and
+sine, no complex Horner sweep, whose rounding depends on the array length),
+so each result equals the per-map `rotation_number_closest_return`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .circlemap import AnalyticCircleMap, iterate
+from .circlemap import TWO_PI, AnalyticCircleMap, iterate
 from .contfrac import ContinuedFraction, FiniteTail
 from .errors import PeriodicOrbitDetected, TargetUnreachable
 
@@ -289,6 +295,105 @@ def rotation_number_closest_return(f: AnalyticCircleMap, x0: float = 0.0,
     if est is None:
         return rotation_number_birkhoff(f, x0, n_max)
     return est
+
+
+def _batch_mode_sum(c: np.ndarray, ca: np.ndarray, cb: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """The scan's inlined mode sum at one point per map, with the scalar
+    loop's float operations in its order: cosine and sine are libm's, and a
+    zero-padded mode adds an exact 0.0."""
+    s = c.copy()
+    for k in range(ca.shape[0]):
+        t = (TWO_PI * (k + 1)) * y
+        s += ca[k] * np.cos(t) + cb[k] * np.sin(t)
+    return s
+
+
+def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
+                         burn_in: int = 0) -> list:
+    """For each map, what rotation_number_closest_return(f, x0, depth, n_max,
+    burn_in) gives: its RotationEstimate, or the PeriodicOrbitDetected it
+    raises, returned here in its place.
+
+    The maps of degree >= 1 walk together, one array entry per map: the
+    burn-in on the unreduced lift, then the reduced return scan, with each
+    map's modes stacked (zero-padded) into coefficient arrays.  Every entry
+    takes the float operations of the scalar scan, so a result does not
+    depend on the other maps in the batch.  A return that beats its map's
+    threshold goes to that map's _ReturnScan; a map leaves the walk on a
+    periodic orbit or once its scan has depth + 2 overall returns.
+    Degree-0 maps take the exact closed-form scan one by one.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    out: list = [None] * len(maps)
+    live = []
+    for i, f in enumerate(maps):
+        if f.degree:
+            live.append(i)
+            continue
+        try:
+            out[i] = rotation_number_closest_return(f, x0s[i], depth, n_max,
+                                                    burn_in)
+        except PeriodicOrbitDetected as po:
+            out[i] = po
+    if not live:
+        return out
+    ids = np.array(live)
+    kmax = max(maps[i].degree for i in live)
+    c = np.array([maps[i].mean_shift for i in live])
+    ca = np.zeros((kmax, ids.size))
+    cb = np.zeros((kmax, ids.size))
+    for j, i in enumerate(live):
+        for k, (_, a, b) in enumerate(maps[i]._scalar_modes):
+            ca[k, j], cb[k, j] = a, b
+    x = np.array([float(x0s[i]) for i in live])
+    for _ in range(burn_in):
+        x = x + _batch_mode_sum(c, ca, cb, x - np.floor(x))
+    y0 = x - np.floor(x)
+    y, w = y0.copy(), np.zeros_like(y0)
+    thr_pos = np.full_like(y0, math.inf)
+    thr_neg = np.full_like(y0, math.inf)
+    scans = {i: _ReturnScan() for i in live}
+    stop_at = depth + 2
+    for q in range(1, n_max + 1):
+        y += _batch_mode_sum(c, ca, cb, y)
+        k = np.floor(y)
+        y -= k
+        w += k
+        d = y - y0
+        up, down = d >= 0.5, d < -0.5
+        e = np.where(up, d - 1.0, np.where(down, d + 1.0, d))
+        hit = np.flatnonzero(np.where(e >= 0.0, e < thr_pos, -e < thr_neg))
+        if not hit.size:
+            continue
+        keep = np.ones(ids.size, bool)
+        for j, i, ej, wj, uj, dj in zip(
+                hit.tolist(), ids[hit].tolist(), e[hit].tolist(),
+                w[hit].tolist(), up[hit].tolist(), down[hit].tolist()):
+            scan = scans[i]
+            p = int(wj) + uj - dj
+            scan.offer(q, p, ej)
+            thr_pos[j] = scan.best_pos * _IMPROVE
+            thr_neg[j] = scan.best_neg * _IMPROVE
+            if abs(ej) < RATIONAL_TOL:
+                out[i] = PeriodicOrbitDetected(q, p, ej)
+            elif scan.overall_count < stop_at:
+                continue
+            keep[j] = False
+        if not keep.all():
+            ids, c, ca, cb = ids[keep], c[keep], ca[:, keep], cb[:, keep]
+            y, y0, w = y[keep], y0[keep], w[keep]
+            thr_pos, thr_neg = thr_pos[keep], thr_neg[keep]
+            if not ids.size:
+                break
+    for i in live:
+        if out[i] is None:
+            out[i] = (_estimate_from(scans[i])
+                      or rotation_number_birkhoff(maps[i], x0s[i], n_max))
+    return out
 
 
 def rho_interval(f: AnalyticCircleMap, eps: float, x0: float = 0.0,

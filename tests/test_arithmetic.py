@@ -11,7 +11,7 @@ from circlelab.arithmetic import (brjuno_function,
                                   condition_h_check, diophantine_estimate,
                                   h_recursion_states, r_alpha)
 from circlelab.contfrac import ContinuedFraction
-from circlelab.errors import NotBrjuno, RationalDetected
+from circlelab.errors import ExactnessExhausted, NotBrjuno, RationalDetected
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,6 +94,32 @@ def test_diophantine_values_are_lower_bounds_against_mpmath():
                 for k, (v, r) in enumerate(zip(est.values, ref), 1):
                     assert v <= r, (period, sigma, k)
                     assert v >= r * (1 - 1e-12), (period, sigma, k)
+
+
+def test_diophantine_log_data_values_are_lower_bounds(monkeypatch):
+    # past the exact convergents the value comes from the log brackets of
+    # q_k and q_{k+1}: forced here from k = 12 on the periodic [1, 5], it
+    # must stay below the true value and, as beta_k > 1/(2 q_{k+1}), within
+    # a factor 2 of it
+    mp = pytest.importorskip("mpmath")
+    exact = ContinuedFraction.convergent
+
+    def convergent(self, n):
+        if n >= 12:
+            raise ExactnessExhausted("forced")
+        return exact(self, n)
+
+    monkeypatch.setattr(ContinuedFraction, "convergent", convergent)
+    depth = 30
+    with mp.workdps(200):
+        for sigma in (0.0, 0.5):
+            est = diophantine_estimate(ContinuedFraction.periodic([1, 5]),
+                                       sigma, depth)
+            ref = _periodic_dioph_oracle([1, 5], sigma, depth, mp)
+            for k, (v, r) in enumerate(zip(est.values, ref), 1):
+                assert v <= r, (sigma, k)
+                low = 0.5 if k >= 11 else 1.0 - 1e-12  # k = 11 needs q_12
+                assert v >= r * low * (1 - 1e-12), (sigma, k)
 
 
 def test_diophantine_exp_rule_decays():

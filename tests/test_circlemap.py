@@ -215,6 +215,25 @@ def test_arnold_family_always_valid(b, a):
     assert f.df_min > 0
 
 
+@pytest.mark.parametrize("b", [0.999, 0.9999])
+def test_arnold_maps_near_b_one_certify(b):
+    # min Df = 1 - b: the coefficient bound is exact for the family, where a
+    # 2048-point grid with its Lipschitz margin (2 pi b / 4096) is not
+    f = ArnoldFamily(b).map_at(0.6)
+    assert 0.0 < f.df_min <= 1.0 - b
+    assert f.df_min == pytest.approx(1.0 - b, rel=1e-9)
+
+
+def test_certified_df_min_is_a_lower_bound():
+    with pytest.raises(NotDiffeomorphism):
+        AnalyticCircleMap(0.3, np.array([-0.5j]))
+    # scale 0.02 certifies mostly by the coefficient bound, a few by the grid
+    x = np.arange(1 << 14) / (1 << 14)
+    for seed in range(20):
+        f = small_map(seed, degree=4, scale=0.02)
+        assert 0.0 < f.df_min <= derivative(f, x, 1).min()
+
+
 def test_affine_shift_family_retunes_constant_only():
     from circlelab.circlemap import AffineShiftFamily
     base = small_map(5, degree=3, scale=0.004)

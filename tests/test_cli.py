@@ -4,7 +4,10 @@ from pathlib import Path
 import pytest
 
 from circlelab.arithmetic import ClassifyConfig
-from circlelab.cli import main, validate_config
+from circlelab.circlemap import ArnoldFamily
+from circlelab.cli import _fmt, _splitmix01, main, validate_config
+from circlelab.errors import PeriodicOrbitDetected
+from circlelab.rotation import rotation_number_closest_return
 
 GOLDEN_CF = {"quotients": [1], "tail": {"kind": "periodic", "start": 1, "period": 1}}
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -132,6 +135,46 @@ def test_tongue_scan_determinism(tmp_path):
     assert len(rows) == 1 + 8 * 4
 
 
+def _reference_tongue_rows(s: dict, seed: int) -> tuple:
+    """CSV rows and method counts of a tongue-scan grid, each cell scanned
+    on its own by rotation_number_closest_return (the per-cell algorithm
+    the batched scan replaces)."""
+    na, nb = s["na"], s["nb"]
+    rows, methods = [], {"closest_return": 0, "birkhoff": 0, "locked": 0}
+    for ia in range(na):
+        for ib in range(nb):
+            a = s["a_min"] + (s["a_max"] - s["a_min"]) * ia / max(na - 1, 1)
+            b = s["b_min"] + (s["b_max"] - s["b_min"]) * ib / max(nb - 1, 1)
+            x0 = _splitmix01(seed, ia * nb + ib)
+            f = ArnoldFamily(b).map_at(a)
+            try:
+                est = rotation_number_closest_return(
+                    f, x0, depth=24, n_max=s["n_max"], burn_in=s["burn_in"])
+                row = (ia, ib, a, b, est.value, False, est.error_bound)
+                methods[est.method] += 1
+            except PeriodicOrbitDetected as po:
+                row = (ia, ib, a, b, (po.p / po.q) % 1.0, True, 0.0)
+                methods["locked"] += 1
+            rows.append(",".join(map(_fmt, row)))
+    return rows, methods
+
+
+def test_tongue_scan_matches_per_cell_scans_at_every_worker_count(tmp_path):
+    s = {"a_min": 0.0, "a_max": 1.0, "na": 12, "b_min": 0.0, "b_max": 0.95,
+         "nb": 5, "n_max": 150, "burn_in": 64}
+    cfg = write_cfg(tmp_path, "s.json", {"scan": s})
+    rows, methods = _reference_tongue_rows(s, 7)
+    expect = "\n".join(["ia,ib,a,b,rho,locked,err_bound"] + rows) + "\n"
+    assert all(methods.values())  # every estimator path is on the grid
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(["tongue-scan", "--config", str(cfg), "--out", str(out),
+                     "--workers", str(workers), "--seed", "7"]) == 0
+        assert (out / "tongues.csv").read_text() == expect
+        summary = json.loads((out / "tongues.json").read_text())
+        assert summary["methods"] == methods
+
+
 def test_geometry_cli_on_map(tmp_path, tuned):
     a = tuned(0.3, "golden")
     cfg = write_cfg(tmp_path, "g.json", {
@@ -246,3 +289,13 @@ def test_validate_kam_names_an_empty_strip_schedule():
     cfg = {"target": GOLDEN_CF, "family": {"kind": "arnold", "b": 0.05},
            "kam": {"strips": []}}
     assert validate_config("kam", cfg) == ["kam: strip schedule must not be empty"]
+
+
+@pytest.mark.parametrize("b", [0.999, 0.9999])
+def test_rotnum_near_b_one_ends_in_a_verdict(tmp_path, b):
+    cfg = write_cfg(tmp_path, "r.json", {
+        "map": {"family": {"kind": "arnold", "a": 0.6, "b": b}},
+        "rotnum": {"n_max": 20000}})
+    assert main(["rotnum", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 2)
+    out = json.loads((tmp_path / "rotnum.json").read_text())
+    assert "closest_return" in out or "rational" in out

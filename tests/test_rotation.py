@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
                                  conjugate_project, iterate, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
-from circlelab.rotation import (RATIONAL_TOL, _scan_returns, closest_returns,
+from circlelab.rotation import (RATIONAL_TOL, _scan_returns,
+                                closest_return_batch, closest_returns,
                                 eq_rot_check, quotients_from_returns,
                                 rho_interval, rotation_number_birkhoff,
                                 rotation_number_closest_return, tune_parameter)
@@ -235,3 +237,79 @@ def test_scan_records_the_reference_returns(b, a):
     scan = _scan_returns(f, 0.0, 20000, lambda s: False, RATIONAL_TOL)
     got = [(r.q, r.p, r.overall) for r in scan.returns]
     assert got == _RETURNS_REFERENCE[(b, a)]
+
+
+def _mixed_maps(seed: int, n: int) -> tuple:
+    """Seeded maps and base points: Arnold maps with b in (0, 0.95), maps
+    of degree 2 and rotations (degree 0), rational ones among them."""
+    rng = random.Random(seed)
+    maps = []
+    for i in range(n):
+        kind = i % 5
+        if kind < 3:
+            maps.append(ArnoldFamily(rng.uniform(0.01, 0.95)).map_at(
+                rng.uniform(-1.0, 2.0)))
+        elif kind == 3:
+            v1, v2 = (r * np.exp(2j * np.pi * rng.random())
+                      for r in (rng.uniform(0.0, 0.04), rng.uniform(0.0, 0.015)))
+            maps.append(AnalyticCircleMap(rng.random(), np.array([v1, v2])))
+        else:
+            maps.append(rotation(rng.choice([0.5, 0.4, rng.random()])))
+    return maps, [rng.uniform(-2.0, 3.0) for _ in range(n)]
+
+
+def _outcome(r):
+    """A result compared by value: the estimate, or the periodic orbit's
+    (q, p, residual)."""
+    if isinstance(r, PeriodicOrbitDetected):
+        return ("locked", r.q, r.p, r.residual)
+    return r
+
+
+def _per_cell(maps, x0s, depth, n_max, burn_in):
+    out = []
+    for f, x0 in zip(maps, x0s):
+        try:
+            out.append(rotation_number_closest_return(f, x0, depth, n_max,
+                                                      burn_in))
+        except PeriodicOrbitDetected as po:
+            out.append(po)
+    return out
+
+
+def _kind(r) -> str:
+    return "locked" if isinstance(r, PeriodicOrbitDetected) else r.method
+
+
+@pytest.mark.parametrize("depth, n_max, burn_in", [(24, 400, 128), (3, 300, 0)])
+def test_closest_return_batch_equals_per_cell_scans(depth, n_max, burn_in):
+    maps, x0s = _mixed_maps(5, 150)
+    ref = _per_cell(maps, x0s, depth, n_max, burn_in)
+    got = closest_return_batch(maps, x0s, depth, n_max, burn_in)
+    assert [_outcome(r) for r in got] == [_outcome(r) for r in ref]
+    assert {_kind(r) for r in ref} == {"closest_return", "birkhoff", "locked"}
+    assert {f.degree for f in maps} == {0, 1, 2}
+    if burn_in:  # the burnt-in base points sit on attracting cycles
+        assert {(f.degree, _kind(r)) for f, r in zip(maps, ref)} >= {
+            (d, "locked") for d in (0, 1, 2)}
+    if depth == 3:  # the depth + 2 stop rule ends some scans early
+        deep = _per_cell(maps, x0s, 24, n_max, burn_in)
+        assert any(_outcome(a) != _outcome(b) for a, b in zip(ref, deep))
+
+
+def test_closest_return_batch_does_not_depend_on_slice_size():
+    maps, x0s = _mixed_maps(6, 60)
+    whole = [_outcome(r) for r in closest_return_batch(maps, x0s, 24, 400, 64)]
+    for size in (1, 7):
+        parts = []
+        for i in range(0, len(maps), size):
+            parts += closest_return_batch(maps[i:i + size], x0s[i:i + size],
+                                          24, 400, 64)
+        assert [_outcome(r) for r in parts] == whole
+
+
+def test_closest_return_batch_rejects_what_the_scan_rejects():
+    f = ArnoldFamily(0.3).map_at(0.61)
+    with pytest.raises(ValueError):
+        closest_return_batch([f], [0.0], depth=0)
+    assert closest_return_batch([], []) == []
