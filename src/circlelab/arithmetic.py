@@ -185,12 +185,12 @@ def brjuno_interval(cf: ContinuedFraction, n: int, depth: int,
     """
     b_lo = b_hi = ZERO
     s_lo = ZERO  # lower bound of sum of L over the window
-    for j in range(depth - 1, -1, -1):
-        llo, lhi = cf.log_inverse_interval(n + j)
+    window = [cf.log_inverse_interval(n + j) for j in range(depth - 1, -1, -1)]
+    for llo, lhi in window:
         b_lo = llo.add(b_lo.mul_exp_neg(lhi))
         b_hi = lhi.add(b_hi.mul_exp_neg(llo))
-    for j in range(depth):
-        s_lo = s_lo.add(cf.log_inverse_interval(n + j)[0])
+    for llo, _ in reversed(window):
+        s_lo = s_lo.add(llo)
     try:
         l_next_lo, l_next_hi = cf.log_inverse_interval(n + depth)
         term1 = l_next_hi.mul_exp_neg(s_lo).to_float()

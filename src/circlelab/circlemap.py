@@ -200,6 +200,8 @@ def iterate(f: AnalyticCircleMap, x: ArrayLike, n: int) -> ArrayLike:
 
 def orbit_lift(f: AnalyticCircleMap, x: ArrayLike, n: int) -> np.ndarray:
     """Stacked lift orbit [x, f(x), ..., f^n(x)], shape (n+1, ...)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     xa = np.asarray(x, dtype=float)
     out = np.empty((n + 1,) + xa.shape, dtype=float)
     out[0] = xa
@@ -297,7 +299,6 @@ def inverse(f: AnalyticCircleMap, y: ArrayLike) -> ArrayLike:
 class CompositionResult:
     map: AnalyticCircleMap
     tail_energy: float
-    retained_energy: float
     alias_warning: bool
 
 
@@ -315,7 +316,7 @@ def _project(samples_fn, degrees: list[int], out_degree: int,
     tail += float(np.abs(c[m // 2]) ** 2) if m // 2 > out_degree else 0.0
     retained = 2.0 * float(np.sum(np.abs(c[1:out_degree + 1]) ** 2))
     alias = tail > alias_tol * max(retained, 1e-300)
-    return CompositionResult(AnalyticCircleMap(mean, out), tail, retained, alias)
+    return CompositionResult(AnalyticCircleMap(mean, out), tail, alias)
 
 
 def compose_project(g: AnalyticCircleMap, f: AnalyticCircleMap,
@@ -351,12 +352,12 @@ def strip_norm(f: AnalyticCircleMap, g: AnalyticCircleMap, nu: float) -> float:
     return abs(dc) + float(np.sum(2.0 * np.abs(dco) * np.exp(TWO_PI * k * nu)))
 
 
-def log_derivative_variation(f: AnalyticCircleMap, grid: int = 8192) -> float:
+def log_derivative_variation(f: AnalyticCircleMap) -> float:
     """Total variation of ln Df over one period.
 
     Critical points of Df are located as unit-circle roots of the trig
     polynomial D2f (companion-matrix roots, Newton-polished); the variation
-    sum over the union of those points with a fine grid equals the true
+    sum over the union of those points with an 8192-point grid equals the true
     variation once all extrema are present, and never exceeds it.
     """
     if f.degree == 0:
@@ -377,7 +378,7 @@ def log_derivative_variation(f: AnalyticCircleMap, grid: int = 8192) -> float:
             d2, d3 = _eval_modes(f, xs, (2, 3))
             flat = np.abs(d3) <= 1e-9
             xs = np.where(flat, xs, xs - d2 / np.where(flat, 1.0, d3))
-    pts = np.unique(np.concatenate([xs % 1.0, np.arange(grid) / grid]))
+    pts = np.unique(np.concatenate([xs % 1.0, np.arange(8192) / 8192]))
     vals = np.log(derivative(f, pts, 1))
     return float(np.sum(np.abs(np.diff(vals))) + abs(vals[0] - vals[-1]))
 

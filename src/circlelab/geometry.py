@@ -67,14 +67,13 @@ class PartitionLevel:
 
 def build_partition(f: AnalyticCircleMap, n: int,
                     chain: Optional[Sequence[tuple]] = None,
-                    rho: Optional[float] = None, grid: int = 4096,
-                    x0: float = 0.0, var: Optional[float] = None
-                    ) -> PartitionLevel:
+                    rho: Optional[float] = None, grid: int = 4096, *,
+                    var: Optional[float] = None) -> PartitionLevel:
     """Level-n partition data: return-interval lengths over a grid with
     certified extrema, plus the tiling checks (total length 1 within 1e-9,
-    pairwise-disjoint interiors)."""
+    pairwise-disjoint interiors) on the orbit of x0 = 0."""
     if rho is None:
-        rho = rho_interval(f, 1e-10, x0=x0).value
+        rho = rho_interval(f, 1e-10).value
     if chain is None:
         chain = pq_chain(rho, n + 1)
     if len(chain) < n + 2:
@@ -104,9 +103,9 @@ def build_partition(f: AnalyticCircleMap, n: int,
         g *= 4
     m = float(beta.min()) - margin
     M = float(beta.max()) + margin
-    # tiling by the orbit of x0: q_{n+1} copies of the level-n interval and
+    # tiling by the orbit of 0: q_{n+1} copies of the level-n interval and
     # q_n copies of the level-(n+1) interval
-    orb = orbit_lift(f, x0, q + q1)
+    orb = orbit_lift(f, 0.0, q + q1)
     len_n = sign * (orb[q:q + q1] - orb[:q1] - p)
     sign1 = -sign
     len_n1 = sign1 * (orb[q1:q1 + q] - orb[:q] - p1)
@@ -400,28 +399,25 @@ def ratio_trend(ratios: Sequence[float]) -> str:
     return "inconclusive"
 
 
-def c1_criterion(f: AnalyticCircleMap, n_max: int, grid: int = 4096,
-                 x0: float = 0.0) -> tuple[list[float], str]:
+def c1_criterion(f: AnalyticCircleMap, n_max: int) -> tuple[list[float], str]:
     """Extrema ratios M_n/m_n per level and their trend verdict; a bounded
     trend is the observable face of smooth linearizability."""
-    report = geometry_report(f, n_max, grid=grid, x0=x0, checks=False)
+    report = geometry_report(f, n_max, checks=False)
     return report.ratios, report.trend
 
 
 def geometry_report(f: AnalyticCircleMap, n_max: int, smoothness: int = 3,
-                    grid: int = 4096, x0: float = 0.0,
-                    checks: bool = True) -> GeometryReport:
-    """Build levels 1..n_max and run every per-level check."""
+                    grid: int = 4096, *, checks: bool = True) -> GeometryReport:
+    """Build levels 1..n_max and run every per-level check; rho and the
+    tiling come from the orbit of x0 = 0."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rho_est = rho_interval(f, 1e-10, x0=x0)
-    rho = rho_est.value
+    rho = rho_interval(f, 1e-10).value
     chain = pq_chain(rho, n_max + 1)
     var = log_derivative_variation(f)
     rep = GeometryReport(rho=rho, smoothness=smoothness)
     for n in range(1, n_max + 1):
-        lev = build_partition(f, n, chain=chain, rho=rho, grid=grid,
-                              x0=x0, var=var)
+        lev = build_partition(f, n, chain=chain, rho=rho, grid=grid, var=var)
         rep.levels.append(lev)
         rep.ratios.append(lev.ratio)
         if checks:

@@ -353,8 +353,7 @@ class HermanResult:
 
 
 def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
-                   grid: int = 1024, degree: Optional[int] = None
-                   ) -> HermanResult:
+                   grid: int = 1024) -> HermanResult:
     """Orbit-averaged conjugacy h_n = (id + f + ... + f^{n-1})/n.
 
     defect: grid sup of |h_n(f(x)) - h_n(x) - rho|, evaluated through the
@@ -389,7 +388,7 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
     defect = float(np.max(np.abs((orb[n] - orb[0]) / n - rho)))
     if float(dh.min()) <= 1e-12:
         raise NotMonotone(f"averaged conjugacy has min slope {dh.min():.3e}")
-    deg = degree if degree is not None else min(grid // 3, 256)
+    deg = min(grid // 3, 256)
     c = np.fft.rfft(h_vals - x) / grid
     try:
         h_map = AnalyticCircleMap(float(c[0].real), c[1:deg + 1])

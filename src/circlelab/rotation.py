@@ -41,6 +41,7 @@ RATIONAL_TOL = 1e-12
 _IMPROVE = 1.0 - 1e-12  # factor by which a return must beat its side's best
 _CHUNK = 1 << 16
 _STALL = 64  # stall guard of rho_interval and _probe (see _scan_returns)
+_N_CAP = 8_000_000  # orbit cap of rho_interval and _probe
 
 
 @dataclass(frozen=True)
@@ -223,22 +224,11 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
 
 
 def closest_returns(f: AnalyticCircleMap, x0: float = 0.0,
-                    n_max: int = 100000, max_returns: Optional[int] = None,
-                    rational_tol: float = RATIONAL_TOL,
-                    burn_in: int = 0) -> list[ClosestReturn]:
-    """Times q at which the orbit of the base point comes closer to it than
-    ever before on the corresponding side.  Raises PeriodicOrbitDetected on
-    a return within rational_tol.
-
-    burn_in > 0 advances the base point along the orbit first; with an
-    attracting periodic cycle present, a generic point never returns to
-    itself, but its burnt-in image sits close enough to the cycle for the
-    rationality detector to fire.
-    """
-    base = iterate(f, x0, burn_in) if burn_in else x0
-    limit = math.inf if max_returns is None else max_returns
-    scan = _scan_returns(f, base, n_max, lambda s: s.overall_count >= limit,
-                         rational_tol)
+                    n_max: int = 100000) -> list[ClosestReturn]:
+    """Times q <= n_max at which the orbit of the base point comes closer to
+    it than ever before on the corresponding side.  Raises
+    PeriodicOrbitDetected on a return within RATIONAL_TOL."""
+    scan = _scan_returns(f, x0, n_max, lambda s: False, RATIONAL_TOL)
     return scan.overall_returns()
 
 
@@ -328,6 +318,8 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
         raise ValueError("depth must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
+    if len(x0s) != len(maps):
+        raise ValueError("x0s must hold one base point per map")
     out: list = [None] * len(maps)
     live = []
     for i, f in enumerate(maps):
@@ -396,21 +388,23 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     return out
 
 
-def rho_interval(f: AnalyticCircleMap, eps: float, x0: float = 0.0,
-                 n_cap: int = 8_000_000) -> RotationEstimate:
-    """Closest-return estimate refined until its certified bracket is
-    narrower than eps (or the orbit cap / the _STALL guard ends the scan).
+def rho_interval(f: AnalyticCircleMap, eps: float, *,
+                 n_cap: int = _N_CAP) -> RotationEstimate:
+    """Closest-return estimate of the orbit from x0 = 0, refined until its
+    certified bracket is narrower than eps (or the orbit cap / the _STALL
+    guard ends the scan).  The bracket is a property of f: the sign of
+    f^q - id - p does not depend on the base point.
     PeriodicOrbitDetected propagates."""
-    scan = _scan_returns(f, x0, n_cap, lambda s: s.width() <= eps,
+    scan = _scan_returns(f, 0.0, n_cap, lambda s: s.width() <= eps,
                          RATIONAL_TOL, _STALL)
     est = _estimate_from(scan)
     if est is None:
-        return rotation_number_birkhoff(f, x0, max(1024, min(n_cap, int(2.0 / eps))))
+        return rotation_number_birkhoff(f, 0.0, max(1024, min(n_cap, int(2.0 / eps))))
     return est
 
 
-def _probe(f: AnalyticCircleMap, alpha: float, eps: float, x0: float,
-           n_cap: int) -> tuple[float, Optional[RotationEstimate]]:
+def _probe(f: AnalyticCircleMap, alpha: float,
+           eps: float) -> tuple[float, Optional[RotationEstimate]]:
     """(deviation estimate, certified estimate or None) for rho(f) vs alpha.
 
     The deviation is the uncertified sharpened value (p_d + err_d)/q_d of
@@ -430,9 +424,9 @@ def _probe(f: AnalyticCircleMap, alpha: float, eps: float, x0: float,
             return True
         return s.width() <= eps
 
-    scan = _scan_returns(f, x0, n_cap, stop, RATIONAL_TOL, _STALL)
+    scan = _scan_returns(f, 0.0, _N_CAP, stop, RATIONAL_TOL, _STALL)
     if not scan.returns:
-        b = rotation_number_birkhoff(f, x0, 4096)
+        b = rotation_number_birkhoff(f, 0.0, 4096)
         return b.value - alpha, None
     r = scan.returns[-1]
     dev = (r.p + r.err) / r.q - alpha
@@ -442,11 +436,10 @@ def _probe(f: AnalyticCircleMap, alpha: float, eps: float, x0: float,
     return dev, None
 
 
-def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10,
-                   x0: float = 0.0, n_cap: int = 8_000_000
+def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10
                    ) -> tuple[float, RotationEstimate]:
     """Find the family parameter whose rotation number certifies within tol
-    of the target value.
+    of the target value, each probe walking the orbit from x0 = 0.
 
     Continuity and monotonicity of the rotation number in the additive
     parameter justify a safeguarded secant iteration on the sharpened
@@ -470,7 +463,7 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10,
     slope = 1.0
     for _ in range(80):
         try:
-            dev, est = _probe(family.map_at(a), alpha, tol / 2, x0, n_cap)
+            dev, est = _probe(family.map_at(a), alpha, tol / 2)
         except PeriodicOrbitDetected as po:
             dev, est = po.p / po.q - alpha, None
         if est is not None:
@@ -495,14 +488,14 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10,
     raise TargetUnreachable("no certified parameter within the iteration cap")
 
 
-def eq_rot_check(f: AnalyticCircleMap, n: int, x0: float = 0.0) -> float:
-    """Residual between the orbit-averaged displacement (the unique-ergodicity
-    estimate of the invariant-measure displacement integral) and the certified
-    rotation number."""
+def eq_rot_check(f: AnalyticCircleMap, n: int) -> float:
+    """Residual between the orbit-averaged displacement from x0 = 0 (the
+    unique-ergodicity estimate of the invariant-measure displacement
+    integral) and the certified rotation number."""
     if n < 1:
         raise ValueError("n must be >= 1")
     eps = 1e-12 if f.degree == 0 else 1e-10  # rotations certify cheaply
-    rho = rho_interval(f, eps, x0)
-    avg = (iterate(f, x0, n) - x0) / n
+    rho = rho_interval(f, eps)
+    avg = iterate(f, 0.0, n) / n
     d = abs(avg % 1.0 - rho.value)
     return min(d, 1.0 - d)

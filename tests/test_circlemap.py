@@ -9,8 +9,8 @@ from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
                                  compose_project,
                                  conjugate_project, derivative, evaluate,
                                  inverse, iterate, log_derivative_variation,
-                                 map_from_json, orbit_log_derivative, rotation,
-                                 strip_norm)
+                                 map_from_json, orbit_lift,
+                                 orbit_log_derivative, rotation, strip_norm)
 from circlelab.errors import NotDiffeomorphism
 
 RNG = np.random.default_rng(42)
@@ -53,6 +53,12 @@ def test_not_diffeomorphism_rejected():
 def test_iterate_rotation_displacement():
     f = rotation(0.25)
     assert iterate(f, 0.1, 8) == pytest.approx(0.1 + 2.0)
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+def test_orbit_lift_rejects_negative_length(n):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        orbit_lift(ArnoldFamily(0.3).map_at(0.61), 0.0, n)
 
 
 def test_orbit_log_derivative_rotation_zero():

@@ -330,3 +330,9 @@ def test_summary_lists_uncertified_levels():
     assert [lev.certified for lev in rep.levels] == [True, True, False, False]
     assert rep.to_json_summary()["uncertified_levels"] == [3, 4]
     assert rep.to_csv().split("\n")[0] == GeometryReport.CSV_HEADER
+
+
+def test_geometry_report_checks_flag_is_keyword_only():
+    # keyword-only, so no positional value binds to a removed parameter
+    with pytest.raises(TypeError):
+        geometry_report(rotation(GOLDEN), 2, 3, 4096, False)

@@ -313,3 +313,16 @@ def test_closest_return_batch_rejects_what_the_scan_rejects():
     with pytest.raises(ValueError):
         closest_return_batch([f], [0.0], depth=0)
     assert closest_return_batch([], []) == []
+
+
+@pytest.mark.parametrize("n_x0s", [1, 3])
+def test_closest_return_batch_needs_one_base_point_per_map(n_x0s):
+    f = ArnoldFamily(0.3).map_at(0.61)
+    with pytest.raises(ValueError):
+        closest_return_batch([f, f], [0.0] * n_x0s)
+
+
+def test_rho_interval_cap_is_keyword_only():
+    # keyword-only, so no positional value binds to a removed parameter
+    with pytest.raises(TypeError):
+        rho_interval(ArnoldFamily(0.3).map_at(0.61), 1e-6, 400000)
