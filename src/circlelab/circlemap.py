@@ -213,10 +213,11 @@ def orbit_lift(f: AnalyticCircleMap, x: ArrayLike, n: int) -> np.ndarray:
 
 
 def _log_derivative_steps(f: AnalyticCircleMap, x: np.ndarray, order: int):
-    """Yield (D^order ln Df^i(x), Df^i(x)) after each step i along the orbit
-    of the 1-d array x: the chain rule through the iterates, their derivative
-    products carried alongside.  The first array is updated in place; for
-    order >= 1, Df^i above _BLOWUP_GUARD raises DerivativeBlowup."""
+    """Yield (f^i(x), Df(f^{i-1}(x)), D^order ln Df^i(x), Df^i(x)) after each
+    step i along the orbit of the 1-d array x: the chain rule through the
+    iterates, their derivative products carried alongside.  The third array
+    is updated in place; for order >= 1, Df^i above _BLOWUP_GUARD raises
+    DerivativeBlowup."""
     cur = x
     s = np.zeros_like(cur)
     a = np.ones_like(cur)   # Df^i
@@ -250,7 +251,7 @@ def _log_derivative_steps(f: AnalyticCircleMap, x: np.ndarray, order: int):
             raise DerivativeBlowup(
                 f"orbit derivative product exceeded {_BLOWUP_GUARD:g}")
         cur = fx
-        yield s, a
+        yield cur, f1, s, a
 
 
 def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
@@ -263,7 +264,7 @@ def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
         raise ValueError("n must be >= 0")
     cur = np.atleast_1d(np.asarray(x, dtype=float))
     s = np.zeros_like(cur)
-    for s, _ in itertools.islice(_log_derivative_steps(f, cur, order), n):
+    for _, _, s, _ in itertools.islice(_log_derivative_steps(f, cur, order), n):
         pass
     return float(s[0]) if np.ndim(x) == 0 else s.reshape(np.shape(x))
 

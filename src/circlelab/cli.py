@@ -189,6 +189,14 @@ def _map(cfg: dict, tune_tol: float):
     return family.map_at(a)
 
 
+def _negative(e: CircleLabError) -> dict:
+    """The block naming a negative stop: the rational rotation number of a
+    periodic orbit, or the target a family cannot be tuned to."""
+    if isinstance(e, PeriodicOrbitDetected):
+        return {"rational": {"p": e.p, "q": e.q, "value": (e.p / e.q) % 1.0}}
+    return {"unreachable": str(e)}
+
+
 def run_classify(cfg: dict, c: dict, args) -> tuple:
     target = ContinuedFraction.from_json(cfg["target"])
     try:
@@ -209,8 +217,7 @@ def run_rotnum(cfg: dict, r: dict, args) -> tuple:
         cr = rotation_number_closest_return(f, r["x0"], r["depth"], r["n_max"],
                                             burn_in=r["burn_in"])
     except PeriodicOrbitDetected as po:
-        return EXIT_NEGATIVE, "rotnum.json", {"rational": {
-            "p": po.p, "q": po.q, "value": (po.p / po.q) % 1.0}}
+        return EXIT_NEGATIVE, "rotnum.json", _negative(po)
     return EXIT_OK, "rotnum.json", {
         "birkhoff": {"value": bk.value, "error_bound": bk.error_bound, "n": bk.n},
         "closest_return": {"value": cr.value, "error_bound": cr.error_bound,
@@ -224,16 +231,18 @@ def run_tune(cfg: dict, t: dict, args) -> tuple:
                                 ContinuedFraction.from_json(cfg["target"]),
                                 tol=t["tol"])
     except TargetUnreachable as e:
-        return EXIT_NEGATIVE, "tune.json", {"unreachable": str(e)}
+        return EXIT_NEGATIVE, "tune.json", _negative(e)
     return EXIT_OK, "tune.json", {
         "a": a, "rho": est.value, "error_bound": est.error_bound,
         "quotients": list(est.extracted_quotients or ())}
 
 
 def run_kam(cfg: dict, k: dict, args) -> tuple:
-    f = _map(cfg, k["tune_tol"])
     conf = _kam_config(k, ContinuedFraction.from_json(cfg["target"]))
-    res = kam_iterate(f, conf)
+    try:
+        res = kam_iterate(_map(cfg, k["tune_tol"]), conf)
+    except (PeriodicOrbitDetected, TargetUnreachable) as e:
+        return EXIT_NEGATIVE, "kam.json", _negative(e)
     (args.out / "kam_trace.csv").write_text(res.trace.to_csv())
     # the strip schedule the run used, whether configured or defaulted
     strips = [conf.nu_at(n) for n in range(conf.max_steps + 1)]
@@ -245,9 +254,11 @@ def run_kam(cfg: dict, k: dict, args) -> tuple:
 
 
 def run_geometry(cfg: dict, g: dict, args) -> tuple:
-    f = _map(cfg, g["tune_tol"])
-    rep = geometry_report(f, n_max=g["n_max"], smoothness=g["smoothness"],
-                          grid=g["grid"])
+    try:
+        rep = geometry_report(_map(cfg, g["tune_tol"]), n_max=g["n_max"],
+                              smoothness=g["smoothness"], grid=g["grid"])
+    except (PeriodicOrbitDetected, TargetUnreachable) as e:
+        return EXIT_NEGATIVE, "geometry.json", _negative(e)
     (args.out / "geometry.csv").write_text(rep.to_csv())
     return EXIT_OK, "geometry.json", rep.to_json_summary()
 

@@ -11,11 +11,20 @@ the regularity-bootstrap fixed-point schedule.
 Inequality constants reported here are the smallest empirical ones on the
 grid, with the witness point attached; they are per-map, per-level
 observations, never universal claims.
+
+All of these readings live on one orbit of one grid, and a report walks it
+once: the base grid is stepped to q_{n_max+1}, and as the walk passes each
+mark it keeps only what the levels read -- beta_n and ln Df^{q_n} at
+j = q_n, |D ln Df^j| at the growth samples, and the power sums as prefixes
+of one running sum.  The Denjoy searches of all levels run in lockstep, and
+one orbit of 0 serves every level's tiling.  `build_partition`,
+`denjoy_checks` and `derivative_growth_check` read that shared walk inside
+`geometry_report` and a walk of their own when called alone, with the same
+results bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -23,8 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .circlemap import (AnalyticCircleMap, _log_derivative_steps, derivative,
-                        iterate, log_derivative_variation, orbit_lift,
-                        orbit_log_derivative)
+                        log_derivative_variation, orbit_lift)
 from .contfrac import cf_expand, convergents
 from .errors import EmptyWindow, PeriodicOrbitDetected, TilingFailure
 from .rotation import rho_interval
@@ -54,6 +62,7 @@ class PartitionLevel:
     qn_distance: float             # |q_n rho - p_n|
     beta: np.ndarray = field(repr=False)
     grid: np.ndarray = field(repr=False)
+    log_df: np.ndarray = field(repr=False)  # ln Df^{q_n} on the grid
     m: float                       # min of beta (certified when flagged)
     M: float                       # max of beta
     tiling_total: float
@@ -65,47 +74,83 @@ class PartitionLevel:
         return self.M / self.m
 
 
-def build_partition(f: AnalyticCircleMap, n: int,
-                    chain: Optional[Sequence[tuple]] = None,
-                    rho: Optional[float] = None, grid: int = 4096, *,
-                    var: Optional[float] = None) -> PartitionLevel:
-    """Level-n partition data: return-interval lengths over a grid with
-    certified extrema, plus the tiling checks (total length 1 within 1e-9,
-    pairwise-disjoint interiors) on the orbit of x0 = 0."""
-    if rho is None:
-        rho = rho_interval(f, 1e-10).value
-    if chain is None:
-        chain = pq_chain(rho, n + 1)
-    if len(chain) < n + 2:
-        raise ValueError(f"need the convergent chain through level {n + 1}, "
-                         f"have {len(chain) - 1}")
-    q, p = chain[n]
-    q1, p1 = chain[n + 1]
-    sign = math.copysign(1.0, q * rho - p)
-    var = log_derivative_variation(f) if var is None else var
-    lip = math.exp(var) - 1.0
-    # refine the grid until the Lipschitz margin certifies the extrema; on
-    # wildly distorted maps fall back to uncertified grid extrema
-    g = grid
-    certified = True
-    while True:
-        gx = np.arange(g) / g
-        beta = sign * (iterate(f, gx, q) - gx - p)
-        if float(beta.min()) <= 0.0:
-            raise PeriodicOrbitDetected(q, p, float(beta.min()))
-        margin = lip / (2.0 * g)
-        if margin <= 0.5 * float(beta.min()):
-            break
-        if g >= 16 * grid or g >= 65536:
-            certified = False
-            margin = 0.0
-            break
-        g *= 4
-    m = float(beta.min()) - margin
-    M = float(beta.max()) + margin
-    # tiling by the orbit of 0: q_{n+1} copies of the level-n interval and
-    # q_n copies of the level-(n+1) interval
-    orb = orbit_lift(f, 0.0, q + q1)
+# ---------------------------------------------------------------------------
+# the grid walk every level and check reads
+
+
+class _GridWalk:
+    """The orbit of a 1-d array of points `x0`, stepped forward on request.
+
+    After `advance(j)` it holds f^j (`x`), ln Df^j (`ln`) and, for order
+    r >= 1, D^r ln Df^j (`d`), Df^j (`a`) and the power sums
+    1 + sum_{0<i<j} (Df^i)^l for l = 1, 2 (`s1`, `s2`); `ln` and `d` are
+    updated in place as the walk goes on.  Every array comes from the steps
+    of `_log_derivative_steps`, order 0 for the order-0 walk, so a walk read
+    at j equals a fresh walk of j steps bit for bit, and order r >= 1 steps
+    under its blow-up guard."""
+
+    def __init__(self, f: AnalyticCircleMap, x: np.ndarray, order: int):
+        self.order = order
+        self.j = 0
+        self.x0 = self.x = x
+        self.ln = np.zeros_like(x)
+        self.d = self.ln
+        self.a = np.ones_like(x)
+        self.s1, self.s2 = np.ones_like(x), np.ones_like(x)
+        self._steps = _log_derivative_steps(f, x, order)
+
+    def advance(self, j: int) -> "_GridWalk":
+        for self.j in range(self.j + 1, j + 1):
+            if self.order and self.j > 1:
+                self.s1 += self.a
+                self.s2 += self.a * self.a
+            self.x, df, self.d, self.a = next(self._steps)
+            if self.order:
+                self.ln += np.log(df)
+            else:
+                self.ln = self.d
+        return self
+
+
+def _growth_samples(q1: int) -> list[int]:
+    return sorted({1, max(1, q1 // 3), max(1, (2 * q1) // 3), q1})
+
+
+def _growth_record(n: int, order: int, level: PartitionLevel, samples: dict,
+                   s1: np.ndarray, s2: np.ndarray) -> "GrowthCheck":
+    """The growth check of level n from |D^order ln Df^j| at its sampled j
+    and the power sums through q_{n+1} - 1."""
+    j_samples = _growth_samples(level.q_next)
+    scale = (level.beta / math.sqrt(level.M)) ** order
+    c_best, witness = 0.0, (0, 0.0)
+    for j in j_samples:
+        vals = samples[j] * scale
+        i = int(np.argmax(vals))
+        if vals[i] > c_best:
+            c_best = float(vals[i])
+            witness = (j, float(level.grid[i]))
+    c_sums = {
+        1: float(np.max(s1 * level.beta)),
+        2: float(np.max(s2 * level.beta ** 2 / level.M)),
+    }
+    return GrowthCheck(n=n, order=order, c_estimate=c_best, witness=witness,
+                       c_power_sums=c_sums, j_samples=tuple(j_samples))
+
+
+def _growth_walk(f: AnalyticCircleMap, n: int, level: PartitionLevel,
+                 order: int) -> "GrowthCheck":
+    """The growth check of one level from its own q_{n+1}-step walk."""
+    walk = _GridWalk(f, level.grid, order)
+    samples = {j: np.abs(walk.advance(j).d)
+               for j in _growth_samples(level.q_next)}
+    return _growth_record(n, order, level, samples, walk.s1, walk.s2)
+
+
+def _tiling(orb: np.ndarray, q: int, p: int, q1: int, p1: int,
+            sign: float) -> tuple[float, float]:
+    """(total length, max overlap) of the level's tiling by the orbit of 0:
+    q_{n+1} copies of the level-n interval and q_n copies of the
+    level-(n+1) interval.  Reads orb[:q + q1] only."""
     len_n = sign * (orb[q:q + q1] - orb[:q1] - p)
     sign1 = -sign
     len_n1 = sign1 * (orb[q1:q1 + q] - orb[:q] - p1)
@@ -128,40 +173,191 @@ def build_partition(f: AnalyticCircleMap, n: int,
     max_overlap = float(np.max(overlaps))
     if max_overlap > TILING_TOL:
         raise TilingFailure(max_overlap)
-    return PartitionLevel(n=n, q=q, p=p, q_next=q1, p_next=p1, sign=sign,
-                          qn_distance=abs(q * rho - p), beta=beta, grid=gx,
-                          m=m, M=M, tiling_total=total,
-                          max_overlap=max_overlap, certified=certified)
+    return total, max_overlap
+
+
+class _LevelWalk:
+    """Levels of the dynamical partition read off one walk of the base grid.
+
+    The walk stops at every mark in order: at j = q_n it builds level n
+    (raising PeriodicOrbitDetected or TilingFailure before it steps past
+    q_n); with order >= 1 it also keeps |D^order ln Df^j| at every growth
+    sample j of the levels and reads each level's growth record at
+    j = q_{n+1}.  A level that does not certify on the base grid refines and
+    walks its own grid, its growth record included, as soon as it is built.
+    The tiling of every level reads one orbit of 0."""
+
+    BUILD, SAMPLE, RECORD = 0, 1, 2  # mark kinds, in their order at one j
+
+    def __init__(self, f: AnalyticCircleMap, chain: Sequence[tuple],
+                 rho: float, var: float, grid: int, levels: Sequence[int],
+                 order: int):
+        self.f, self.chain, self.rho, self.var = f, chain, rho, var
+        self.grid = grid
+        self.order = order
+        self.walk = _GridWalk(f, np.arange(grid) / grid, order)
+        top = max(levels)
+        self.tiling = orbit_lift(f, 0.0, chain[top][0] + chain[top + 1][0])
+        self.levels: dict = {}
+        self.growth: dict = {}
+        self._denjoy: Optional[dict] = None
+        # growth samples by j, kept while a level still to be recorded reads
+        # them
+        self._samples: dict = {}
+        self._reads = {n: _growth_samples(chain[n + 1][0])
+                       for n in levels} if order else {}
+        marks = [(chain[n][0], self.BUILD, n) for n in levels]
+        for n, reads in self._reads.items():
+            marks += [(j, self.SAMPLE, n) for j in reads]
+            marks.append((chain[n + 1][0], self.RECORD, n))
+        self._marks = sorted(marks)
+        self._next = 0
+
+    def _pass(self, until: tuple):
+        """Walk through every mark up to and including `until`."""
+        while self._next < len(self._marks) and self._marks[self._next] <= until:
+            j, kind, n = self._marks[self._next]
+            self._next += 1
+            self.walk.advance(j)
+            if kind == self.BUILD:
+                self.levels[n] = self._build(n)
+            elif kind == self.SAMPLE:
+                if j not in self._samples:
+                    self._samples[j] = np.abs(self.walk.d)
+            else:
+                if n not in self.growth:
+                    self.growth[n] = _growth_record(
+                        n, self.order, self.levels[n], self._samples,
+                        self.walk.s1, self.walk.s2)
+                done = self._reads.pop(n)
+                still = set().union(*self._reads.values())
+                for j in set(done) - still:
+                    self._samples.pop(j, None)
+
+    def level(self, n: int) -> PartitionLevel:
+        self._pass((self.chain[n][0], self.BUILD, n))
+        return self.levels[n]
+
+    def growth_check(self, n: int) -> "GrowthCheck":
+        self._pass((self.chain[n + 1][0], self.RECORD, n))
+        return self.growth[n]
+
+    def denjoy(self, n: int) -> tuple[float, float]:
+        """Level n's refined max |ln Df^{q_n}| and witness; the searches of
+        all levels built so far run together on the first call."""
+        if self._denjoy is None:
+            self._denjoy = dict(zip(self.levels, _denjoy_maxima(
+                self.f, list(self.levels.values()))))
+        return self._denjoy[n]
+
+    def _build(self, n: int) -> PartitionLevel:
+        q, p = self.chain[n]
+        q1, p1 = self.chain[n + 1]
+        sign = math.copysign(1.0, q * self.rho - p)
+        lip = math.exp(self.var) - 1.0
+        # refine the grid until the Lipschitz margin certifies the extrema;
+        # on wildly distorted maps fall back to uncertified grid extrema
+        walk = self.walk
+        g = self.grid
+        certified = True
+        while True:
+            beta = sign * (walk.x - walk.x0 - p)
+            if float(beta.min()) <= 0.0:
+                raise PeriodicOrbitDetected(q, p, float(beta.min()))
+            margin = lip / (2.0 * g)
+            if margin <= 0.5 * float(beta.min()):
+                break
+            if g >= 16 * self.grid or g >= 65536:
+                certified = False
+                margin = 0.0
+                break
+            g *= 4
+            walk = _GridWalk(self.f, np.arange(g) / g, 0).advance(q)
+        total, max_overlap = _tiling(self.tiling, q, p, q1, p1, sign)
+        level = PartitionLevel(
+            n=n, q=q, p=p, q_next=q1, p_next=p1, sign=sign,
+            qn_distance=abs(q * self.rho - p), beta=beta, grid=walk.x0,
+            log_df=walk.ln.copy(), m=float(beta.min()) - margin,
+            M=float(beta.max()) + margin, tiling_total=total,
+            max_overlap=max_overlap, certified=certified)
+        if self.order and walk is not self.walk:
+            self.growth[n] = _growth_walk(self.f, n, level, self.order)
+        return level
+
+
+def build_partition(f: AnalyticCircleMap, n: int,
+                    chain: Optional[Sequence[tuple]] = None,
+                    rho: Optional[float] = None, grid: int = 4096, *,
+                    var: Optional[float] = None,
+                    _walk: Optional[_LevelWalk] = None) -> PartitionLevel:
+    """Level-n partition data: return-interval lengths over a grid with
+    certified extrema and ln Df^{q_n} on the same grid, plus the tiling
+    checks (total length 1 within 1e-9, pairwise-disjoint interiors) on the
+    orbit of x0 = 0.  Read off a q_n-step walk of the grid, or off the
+    report's shared walk `_walk` (see `geometry_report`)."""
+    if _walk is not None:
+        return _walk.level(n)
+    if rho is None:
+        rho = rho_interval(f, 1e-10).value
+    if chain is None:
+        chain = pq_chain(rho, n + 1)
+    if len(chain) < n + 2:
+        raise ValueError(f"need the convergent chain through level {n + 1}, "
+                         f"have {len(chain) - 1}")
+    var = log_derivative_variation(f) if var is None else var
+    return _LevelWalk(f, chain, rho, var, grid, [n], 0).level(n)
 
 
 # ---------------------------------------------------------------------------
 # per-level inequality checks
 
 
-def _refined_abs_max(fn: Callable[[np.ndarray], np.ndarray],
-                     grid_vals: np.ndarray, grid_x: np.ndarray,
-                     spread: float) -> tuple[float, float]:
-    """Grid max of |fn| sharpened by local golden-section searches around
-    the three top grid candidates, run side by side: each iteration
-    evaluates fn once on both probe points of every candidate.  A refined
-    value replaces the running max only when strictly larger, candidates
-    taken from the smallest grid value up.  Returns (max value, witness x)."""
-    idx = np.argsort(np.abs(grid_vals))[-3:]
-    best = float(np.max(np.abs(grid_vals)))
-    wit = float(grid_x[np.argmax(np.abs(grid_vals))])
-    lo, hi = grid_x[idx] - spread, grid_x[idx] + spread
+def _denjoy_maxima(f: AnalyticCircleMap, levels: Sequence[PartitionLevel]
+                   ) -> list[tuple[float, float]]:
+    """(max |ln Df^{q_n}|, witness x) per level: the grid max of
+    `level.log_df` sharpened by golden-section searches around the three top
+    grid candidates.  The searches of every level run in lockstep: each of
+    the 13 rounds walks all levels' probe points (both probes of every
+    candidate, then the three midpoints) together to the largest q_n and
+    reads each level's values at its own q_n.  A refined value replaces the
+    running max only when strictly larger, candidates taken from the
+    smallest grid value up."""
+    qs = np.array([lev.q for lev in levels])
+
+    def ln_df_at(x: np.ndarray) -> np.ndarray:  # row i at q_n of level i
+        walk = _GridWalk(f, x.ravel(), 0)
+        out = np.empty_like(x)
+        for q in sorted(set(qs.tolist())):
+            rows = qs == q
+            out[rows] = walk.advance(q).ln.reshape(x.shape)[rows]
+        return out
+
+    best, wit, lo, hi = [], [], [], []
+    for lev in levels:
+        g = np.abs(lev.log_df)
+        idx = np.argsort(g)[-3:]
+        best.append(float(np.max(g)))
+        wit.append(float(lev.grid[np.argmax(g)]))
+        spread = 1.0 / lev.grid.size
+        lo.append(lev.grid[idx] - spread)
+        hi.append(lev.grid[idx] + spread)
+    lo, hi = np.array(lo), np.array(hi)
     for _ in range(12):
         m1 = lo + 0.382 * (hi - lo)
         m2 = lo + 0.618 * (hi - lo)
-        v1, v2 = np.split(np.abs(fn(np.concatenate([m1, m2]))), 2)
+        v1, v2 = np.split(np.abs(ln_df_at(np.concatenate([m1, m2], axis=1))),
+                          2, axis=1)
         left = v1 < v2
         lo = np.where(left, m1, lo)
         hi = np.where(left, hi, m2)
     xs = 0.5 * (lo + hi)
-    for x, v in zip(xs, np.abs(fn(xs))):
-        if v > best:
-            best, wit = float(v), float(x)
-    return best, wit
+    out = []
+    for b, w, x_row, v_row in zip(best, wit, xs, np.abs(ln_df_at(xs))):
+        for x, v in zip(x_row, v_row):
+            if v > b:
+                b, w = float(v), float(x)
+        out.append((b, w))
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,14 +370,15 @@ class DenjoyChecks:
 
 
 def denjoy_checks(f: AnalyticCircleMap, n: int, level: PartitionLevel,
-                  var: Optional[float] = None) -> DenjoyChecks:
+                  var: Optional[float] = None, *,
+                  _walk: Optional[_LevelWalk] = None) -> DenjoyChecks:
     """Classical distortion bound (must hold up to round-off) and the
-    empirical constant of its partition-refined sharpening."""
+    empirical constant of its partition-refined sharpening, from the level's
+    ln Df^{q_n} grid; with the report's walk `_walk` the searches of all
+    its levels have run together."""
     var = log_derivative_variation(f) if var is None else var
-    g = orbit_log_derivative(f, level.grid, level.q, 0)
-    mx, wit = _refined_abs_max(
-        lambda t: orbit_log_derivative(f, t, level.q, 0),
-        g, level.grid, 1.0 / level.grid.size)
+    mx, wit = (_walk.denjoy(n) if _walk is not None
+               else _denjoy_maxima(f, [level])[0])
     return DenjoyChecks(n=n, classical_residual=mx - var,
                         improved_constant=mx / math.sqrt(level.M),
                         witness=wit, var=var)
@@ -198,37 +395,19 @@ class GrowthCheck:
 
 
 def derivative_growth_check(f: AnalyticCircleMap, n: int,
-                            level: PartitionLevel, order: int = 1
+                            level: PartitionLevel, order: int = 1, *,
+                            _walk: Optional[_LevelWalk] = None
                             ) -> GrowthCheck:
     """Empirical constants for the orbit-derivative growth bound
     |D^r ln Df^j| <= C (sqrt(M_n)/beta_n)^r at j in {1, q/3, 2q/3, q}, and
     for the disjoint-interval power sums sum_{i<q} (Df^i)^l <= C M^(l-1)/beta^l
-    at l = 1, 2 (q = q_{n+1}), from one q-step orbit walk over the grid."""
+    at l = 1, 2 (q = q_{n+1}), from one q-step orbit walk over the grid, or
+    read off the report's walk `_walk` when it walks this order."""
     if not 1 <= order <= 3:
         raise ValueError("order must be 1..3")
-    q1 = level.q_next
-    j_samples = sorted({1, max(1, q1 // 3), max(1, (2 * q1) // 3), q1})
-    scale = (level.beta / math.sqrt(level.M)) ** order
-    c_best, witness = 0.0, (0, 0.0)
-    s1 = np.ones_like(level.grid)
-    s2 = np.ones_like(level.grid)
-    steps = _log_derivative_steps(f, level.grid, order)
-    for j, (d, a) in enumerate(itertools.islice(steps, q1), 1):
-        if j < q1:
-            s1 += a
-            s2 += a * a
-        if j in j_samples:
-            vals = np.abs(d) * scale
-            i = int(np.argmax(vals))
-            if vals[i] > c_best:
-                c_best = float(vals[i])
-                witness = (j, float(level.grid[i]))
-    c_sums = {
-        1: float(np.max(s1 * level.beta)),
-        2: float(np.max(s2 * level.beta ** 2 / level.M)),
-    }
-    return GrowthCheck(n=n, order=order, c_estimate=c_best, witness=witness,
-                       c_power_sums=c_sums, j_samples=tuple(j_samples))
+    if _walk is not None and _walk.order == order:
+        return _walk.growth_check(n)
+    return _growth_walk(f, n, level, order)
 
 
 @dataclass(frozen=True)
@@ -409,21 +588,34 @@ def c1_criterion(f: AnalyticCircleMap, n_max: int) -> tuple[list[float], str]:
 def geometry_report(f: AnalyticCircleMap, n_max: int, smoothness: int = 3,
                     grid: int = 4096, *, checks: bool = True) -> GeometryReport:
     """Build levels 1..n_max and run every per-level check; rho and the
-    tiling come from the orbit of x0 = 0."""
+    tiling come from the orbit of x0 = 0.
+
+    The grid is walked once, to q_{n_max+1} (to q_{n_max} with
+    checks=False, at order 0 and so outside the blow-up guard): every level,
+    its Denjoy grid and its growth record are read off that one orbit as it
+    passes their marks, the Denjoy searches of all levels run together, and
+    one orbit of 0 serves every tiling.  `build_partition`, `denjoy_checks`
+    and `derivative_growth_check` read the shared walk and return what they
+    return standalone."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rho = rho_interval(f, 1e-10).value
     chain = pq_chain(rho, n_max + 1)
     var = log_derivative_variation(f)
+    walk = _LevelWalk(f, chain, rho, var, grid, range(1, n_max + 1),
+                      1 if checks else 0)
     rep = GeometryReport(rho=rho, smoothness=smoothness)
     for n in range(1, n_max + 1):
-        lev = build_partition(f, n, chain=chain, rho=rho, grid=grid, var=var)
+        lev = build_partition(f, n, chain=chain, rho=rho, grid=grid, var=var,
+                              _walk=walk)
         rep.levels.append(lev)
         rep.ratios.append(lev.ratio)
-        if checks:
-            rep.denjoy.append(denjoy_checks(f, n, lev, var=var))
-            rep.growth.append(derivative_growth_check(f, n, lev, order=1))
     if checks:
+        for lev in rep.levels:
+            rep.denjoy.append(denjoy_checks(f, lev.n, lev, var=var,
+                                            _walk=walk))
+            rep.growth.append(derivative_growth_check(f, lev.n, lev, order=1,
+                                                      _walk=walk))
         for lev_n, lev_n1 in zip(rep.levels, rep.levels[1:]):
             rep.beta_rec.append(beta_recursion_check(
                 f, lev_n.n, lev_n, lev_n1, smoothness))

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
+from circlelab import cli
 from circlelab.arithmetic import ClassifyConfig
 from circlelab.circlemap import ArnoldFamily
 from circlelab.cli import _fmt, _splitmix01, main, validate_config
-from circlelab.errors import PeriodicOrbitDetected
+from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
 from circlelab.rotation import rotation_number_closest_return
 
 GOLDEN_CF = {"quotients": [1], "tail": {"kind": "periodic", "start": 1, "period": 1}}
@@ -299,3 +300,34 @@ def test_rotnum_near_b_one_ends_in_a_verdict(tmp_path, b):
     assert main(["rotnum", "--config", str(cfg), "--out", str(tmp_path)]) in (0, 2)
     out = json.loads((tmp_path / "rotnum.json").read_text())
     assert "closest_return" in out or "rational" in out
+
+
+LOCKED_MAP = {"family": {"kind": "arnold", "a": 0.5, "b": 0.3}}  # rho = 1/2
+EXP_ROUND_CF = {"quotients": [1],
+                "tail": {"kind": "rule", "name": "exp_round", "a1": 1}}
+
+
+@pytest.mark.parametrize("cmd", ["kam", "geometry"])
+def test_locked_map_ends_with_its_rational(tmp_path, cmd):
+    cfg = write_cfg(tmp_path, "c.json", {"target": GOLDEN_CF, "map": LOCKED_MAP})
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = json.loads((tmp_path / f"{cmd}.json").read_text())
+    assert out["rational"] == {"p": 1, "q": 2, "value": 0.5}
+    assert out["config"]["map"] == LOCKED_MAP
+
+
+@pytest.mark.parametrize("cmd", ["kam", "geometry"])
+def test_unreachable_target_ends_unreachable(tmp_path, monkeypatch, cmd):
+    # tuning b = 0.3 to this Liouville-type target runs tens of seconds before
+    # its parameter bracket collapses; the tuner's ending is raised directly
+    def collapse(family, target, tol):
+        assert (family.b, target.to_json()) == (0.3, EXP_ROUND_CF)
+        raise TargetUnreachable("parameter bracket collapsed before certification")
+
+    monkeypatch.setattr(cli, "tune_parameter", collapse)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "target": EXP_ROUND_CF, "family": {"kind": "arnold", "b": 0.3}})
+    assert main([cmd, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = json.loads((tmp_path / f"{cmd}.json").read_text())
+    assert out["unreachable"] == "parameter bracket collapsed before certification"
+    assert out["resolved"]["tune_tol"] == 1e-11

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circlelab import circlemap
 from circlelab.circlemap import (ArnoldFamily, derivative, evaluate,
                                  orbit_log_derivative, rotation)
 from circlelab.contfrac import ContinuedFraction
-from circlelab.errors import EmptyWindow, PeriodicOrbitDetected
+from circlelab.errors import DerivativeBlowup, EmptyWindow, PeriodicOrbitDetected
 from circlelab.geometry import (GeometryReport, beta_recursion_check,
                                 bootstrap_schedule, build_partition,
                                 c1_criterion, denjoy_checks,
@@ -336,3 +338,54 @@ def test_geometry_report_checks_flag_is_keyword_only():
     # keyword-only, so no positional value binds to a removed parameter
     with pytest.raises(TypeError):
         geometry_report(rotation(GOLDEN), 2, 3, 4096, False)
+
+
+def _assert_same_record(got, want):
+    """Field-by-field equality of two records, arrays compared exactly."""
+    assert type(got) is type(want)
+    for fld in dataclasses.fields(want):
+        a, b = getattr(got, fld.name), getattr(want, fld.name)
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape and np.array_equal(a, b), fld.name
+        else:
+            assert a == b, fld.name
+
+
+@pytest.mark.parametrize("case", ["b03_golden", "b03_sqrt2", "b09_grid256"])
+def test_report_reads_one_walk_as_standalone_calls(case, tuned):
+    # the report walks its grid once; every level and check it reads off
+    # that walk must equal what the standalone functions compute
+    f, n_max, grid = {
+        "b03_golden": (ArnoldFamily(0.3).map_at(tuned(0.3, "golden")), 8, 4096),
+        "b03_sqrt2": (ArnoldFamily(0.3).map_at(tuned(0.3, "sqrt2")), 6, 4096),
+        # every level refines its own grid past 256 points; levels 3-4 run
+        # out of refinements uncertified
+        "b09_grid256": (ArnoldFamily(0.9).map_at(0.6083935216319816), 4, 256),
+    }[case]
+    rep = geometry_report(f, n_max, grid=grid)
+    chain = pq_chain(rep.rho, n_max + 1)
+    assert len(rep.levels) == len(rep.denjoy) == len(rep.growth) == n_max
+    for lev, dj, gr in zip(rep.levels, rep.denjoy, rep.growth):
+        alone = build_partition(f, lev.n, chain=chain, rho=rep.rho, grid=grid)
+        _assert_same_record(lev, alone)
+        _assert_same_record(dj, denjoy_checks(f, lev.n, alone))
+        _assert_same_record(gr, derivative_growth_check(f, lev.n, alone))
+        assert np.array_equal(lev.log_df,
+                              orbit_log_derivative(f, lev.grid, lev.q, 0))
+    sizes = [lev.grid.size for lev in rep.levels]
+    certified = [lev.certified for lev in rep.levels]
+    if case == "b09_grid256":
+        assert (sizes, certified) == ([4096] * 4, [True, True, False, False])
+    else:
+        assert (sizes, certified) == ([grid] * n_max, [True] * n_max)
+
+
+def test_blowup_guard_stops_the_checks_not_the_ratios(monkeypatch):
+    # the checks walk at order 1 under the guard; c1_criterion walks at
+    # order 0 only as far as q_{n_max} and never meets it
+    f = ArnoldFamily(0.9).map_at(0.6083935216319816)
+    ratios = c1_criterion(f, 6)
+    monkeypatch.setattr(circlemap, "_BLOWUP_GUARD", 2.0)
+    with pytest.raises(DerivativeBlowup):
+        geometry_report(f, 6)
+    assert c1_criterion(f, 6) == ratios
