@@ -96,8 +96,10 @@ class AnalyticCircleMap:
 
     def step_scalar(self, x: float) -> float:
         """The lift at one point, in plain float arithmetic (float in, float
-        out).  The return scan in `rotation` inlines this same mode sum on
-        its reduced orbit rather than calling it."""
+        out).  The return scan in `rotation` inlines this mode sum on its
+        reduced orbit rather than calling it, with the same floats; for a
+        single mode of cosine weight zero (an Arnold map) it takes the sum
+        as one sine, and it reduces y only when y leaves [0, 1)."""
         xm = x - math.floor(x)
         s = self.mean_shift
         for k2p, ca, cb in self._scalar_modes:

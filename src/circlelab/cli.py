@@ -30,8 +30,9 @@ from typing import NamedTuple
 from .arithmetic import ClassifyConfig, classify
 from .circlemap import ArnoldFamily, family_from_json, map_from_json
 from .contfrac import ContinuedFraction
-from .errors import (CircleLabError, NotBrjuno, NotDiffeomorphism,
-                     PeriodicOrbitDetected, RationalDetected, TargetUnreachable)
+from .errors import (CircleLabError, DerivativeBlowup, NotBrjuno,
+                     NotDiffeomorphism, PeriodicOrbitDetected, RationalDetected,
+                     TargetUnreachable, TilingFailure)
 from .geometry import bootstrap_schedule, geometry_report
 from .kam import KamConfig, kam_iterate
 from .rotation import (closest_return_batch, rotation_number_birkhoff,
@@ -191,9 +192,15 @@ def _map(cfg: dict, tune_tol: float):
 
 def _negative(e: CircleLabError) -> dict:
     """The block naming a negative stop: the rational rotation number of a
-    periodic orbit, or the target a family cannot be tuned to."""
+    periodic orbit, an orbit derivative that left the overflow guard, the
+    overlap of partition intervals that failed to tile, or the target a
+    family cannot be tuned to."""
     if isinstance(e, PeriodicOrbitDetected):
         return {"rational": {"p": e.p, "q": e.q, "value": (e.p / e.q) % 1.0}}
+    if isinstance(e, DerivativeBlowup):
+        return {"blowup": str(e)}
+    if isinstance(e, TilingFailure):
+        return {"tiling_failure": {"overlap": e.overlap}}
     return {"unreachable": str(e)}
 
 
@@ -257,7 +264,8 @@ def run_geometry(cfg: dict, g: dict, args) -> tuple:
     try:
         rep = geometry_report(_map(cfg, g["tune_tol"]), n_max=g["n_max"],
                               smoothness=g["smoothness"], grid=g["grid"])
-    except (PeriodicOrbitDetected, TargetUnreachable) as e:
+    except (PeriodicOrbitDetected, TargetUnreachable, DerivativeBlowup,
+            TilingFailure) as e:
         return EXIT_NEGATIVE, "geometry.json", _negative(e)
     (args.out / "geometry.csv").write_text(rep.to_csv())
     return EXIT_OK, "geometry.json", rep.to_json_summary()

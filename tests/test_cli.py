@@ -7,7 +7,8 @@ from circlelab import cli
 from circlelab.arithmetic import ClassifyConfig
 from circlelab.circlemap import ArnoldFamily
 from circlelab.cli import _fmt, _splitmix01, main, validate_config
-from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
+from circlelab.errors import (DerivativeBlowup, PeriodicOrbitDetected,
+                              TargetUnreachable, TilingFailure)
 from circlelab.rotation import rotation_number_closest_return
 
 GOLDEN_CF = {"quotients": [1], "tail": {"kind": "periodic", "start": 1, "period": 1}}
@@ -331,3 +332,22 @@ def test_unreachable_target_ends_unreachable(tmp_path, monkeypatch, cmd):
     out = json.loads((tmp_path / f"{cmd}.json").read_text())
     assert out["unreachable"] == "parameter bracket collapsed before certification"
     assert out["resolved"]["tune_tol"] == 1e-11
+
+
+@pytest.mark.parametrize("error, block", [
+    (DerivativeBlowup("orbit derivative product exceeded 1e+12"),
+     {"blowup": "orbit derivative product exceeded 1e+12"}),
+    (TilingFailure(2.5e-9), {"tiling_failure": {"overlap": 2.5e-9}}),
+], ids=["blowup", "tiling_failure"])
+def test_geometry_failure_ends_with_its_block(tmp_path, monkeypatch, error, block):
+    def fail(f, **kw):
+        raise error
+
+    monkeypatch.setattr(cli, "geometry_report", fail)
+    cfg = write_cfg(tmp_path, "c.json", {
+        "target": GOLDEN_CF,
+        "map": {"family": {"kind": "arnold", "a": 0.61, "b": 0.3}}})
+    assert main(["geometry", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = json.loads((tmp_path / "geometry.json").read_text())
+    assert {k: out[k] for k in block} == block
+    assert not (tmp_path / "geometry.csv").exists()

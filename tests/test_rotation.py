@@ -8,7 +8,7 @@ from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
                                  conjugate_project, iterate, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
-from circlelab.rotation import (RATIONAL_TOL, _scan_returns,
+from circlelab.rotation import (RATIONAL_TOL, _ReturnScan, _scan_returns,
                                 closest_return_batch, closest_returns,
                                 eq_rot_check, quotients_from_returns,
                                 rho_interval, rotation_number_birkhoff,
@@ -237,6 +237,51 @@ def test_scan_records_the_reference_returns(b, a):
     scan = _scan_returns(f, 0.0, 20000, lambda s: False, RATIONAL_TOL)
     got = [(r.q, r.p, r.overall) for r in scan.returns]
     assert got == _RETURNS_REFERENCE[(b, a)]
+
+
+def _reference_walk(f, n: int) -> list:
+    """(q, p, err, overall) of every return in n steps from x0 = 0, walked
+    with the full mode loop (cosine term included) and an unconditional
+    floor on every step, every step offered to _ReturnScan.offer."""
+    scan = _ReturnScan()
+    y, w = 0.0, 0
+    for q in range(1, n + 1):
+        s = f.mean_shift
+        for k2p, ca, cb in f._scalar_modes:
+            t = k2p * y
+            s += ca * math.cos(t) + cb * math.sin(t)
+        y += s
+        k = math.floor(y)
+        y -= k
+        w += k
+        up = y >= 0.5  # y - y0 with y0 = 0 lies in [0, 1)
+        scan.offer(q, w + up, y - 1.0 if up else y)
+    return [(r.q, r.p, r.err, r.overall) for r in scan.returns]
+
+
+def _records(f, n: int) -> list:
+    scan = _scan_returns(f, 0.0, n, lambda s: False, RATIONAL_TOL)
+    return [(r.q, r.p, r.err, r.overall) for r in scan.returns]
+
+
+def test_long_scan_equals_the_reference_walk(arnold_b005_golden):
+    # the tuned map's orbit to q = 196418 takes the sine-only step
+    assert _records(arnold_b005_golden, 196418) == _reference_walk(
+        arnold_b005_golden, 196418)
+
+
+@pytest.mark.parametrize("f", [
+    ArnoldFamily(0.3).map_at(-0.4),  # y leaves [0, 1) below on 40% of steps
+    ArnoldFamily(0.3).map_at(-1.4),  # below on every step
+    ArnoldFamily(0.3).map_at(2.3),   # above on every step
+    AnalyticCircleMap(0.6, np.array([0.01 + 0.02j])),  # nonzero cosine weight
+    AnalyticCircleMap(0.41, np.array([0.012 - 0.004j, 0.003 + 0.002j])),
+], ids=["arnold_a-0.4", "arnold_a-1.4", "arnold_a2.3", "one_mode_cos",
+        "degree2"])
+def test_scan_equals_the_reference_walk(f):
+    got = _records(f, 50000)
+    assert len(got) > 30
+    assert got == _reference_walk(f, 50000)
 
 
 def _mixed_maps(seed: int, n: int) -> tuple:
