@@ -94,19 +94,6 @@ class AnalyticCircleMap:
         """sup |f(x) - x - c| <= sum of coefficient magnitudes."""
         return float(2.0 * np.sum(np.abs(self.coeffs)))
 
-    def step_scalar(self, x: float) -> float:
-        """The lift at one point, in plain float arithmetic (float in, float
-        out).  The return scan in `rotation` inlines this mode sum on its
-        reduced orbit rather than calling it, with the same floats; for a
-        single mode of cosine weight zero (an Arnold map) it takes the sum
-        as one sine, and it reduces y only when y leaves [0, 1)."""
-        xm = x - math.floor(x)
-        s = self.mean_shift
-        for k2p, ca, cb in self._scalar_modes:
-            t = k2p * xm
-            s += ca * math.cos(t) + cb * math.sin(t)
-        return x + s
-
     def to_json(self) -> dict:
         return {"c": self.mean_shift,
                 "modes": [{"k": i + 1, "re": c.real, "im": c.imag}
@@ -186,15 +173,15 @@ def evaluate(f: AnalyticCircleMap, x: ArrayLike) -> ArrayLike:
 
 
 def iterate(f: AnalyticCircleMap, x: ArrayLike, n: int) -> ArrayLike:
-    """n-fold lift composition f^n(x)."""
+    """n-fold lift composition f^n(x).  A float walks the return scan's
+    reduced orbit and adds its displacement to x; an array steps the lift
+    through `evaluate`, as `orbit_lift` and the geometry grid walk do."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    y = x
     if np.ndim(x) == 0:
-        y = float(x)
-        for _ in range(n):
-            y = f.step_scalar(y)
-        return y
+        from .rotation import _walk  # rotation imports this module
+        return float(x) + _walk(f, x, n).disp
+    y = x
     for _ in range(n):
         y = evaluate(f, y)
     return y

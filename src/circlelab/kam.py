@@ -31,6 +31,7 @@ from .errors import (ConjugacyNotDiffeo, NotDiffeomorphism, NotMonotone,
 from .rotation import rho_interval
 
 TWO_PI = 2.0 * math.pi
+_ALIAS_TOL = 1e-4  # alias flag: tail energy above this share of the retained
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,6 @@ class KamConfig:
     max_steps: int = 14
     divisor_floor: float = 1e-8
     threshold: float = 1e-11
-    alias_tol: float = 1e-4
 
     def nu_at(self, n: int) -> float:
         if self.strips is not None:
@@ -181,8 +181,8 @@ class KamStep:
 
 
 def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, out_degree: int,
-             nu: float, step_index: int = 0, divisor_floor: float = 1e-8,
-             alias_tol: float = 1e-4) -> KamStep:
+             nu: float, step_index: int = 0,
+             divisor_floor: float = 1e-8) -> KamStep:
     """One conjugation step: solve for w from the nonlinearity of f (with the
     mean recentred away), build h = id + w, and return h o f o h^{-1}
     projected to out_degree."""
@@ -193,7 +193,7 @@ def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, out_degree: int,
     except NotDiffeomorphism as e:
         raise ConjugacyNotDiffeo(f"correction too large for a step: {e}") from e
     try:
-        conj = conjugate_project(h, f, out_degree, alias_tol)
+        conj = conjugate_project(h, f, out_degree, _ALIAS_TOL)
     except NotDiffeomorphism as e:
         raise ConjugacyNotDiffeo(f"conjugated map failed validation: {e}") from e
     rec = StepRecord(
@@ -264,7 +264,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
         try:
             step = kam_step(f_n, alpha, config.trunc_at(n, n0),
                             config.trunc_at(n + 1, n0), nu_n, n,
-                            config.divisor_floor, config.alias_tol)
+                            config.divisor_floor)
         except (SmallDivisor, Resonance) as e:
             verdict = "resonance_stop"
             note = str(e)
@@ -276,7 +276,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
         trace.steps.append(step.record)
         comp = compose_project(step.h, h_total,
                                max(step.h.degree + h_total.degree, 8),
-                               config.alias_tol)
+                               _ALIAS_TOL)
         h_total = comp.map
         f_n = step.f_next
     if verdict is None:

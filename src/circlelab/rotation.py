@@ -5,7 +5,8 @@ displacement bound), and the closest-return accelerated form, which reads
 convergent denominators off the orbit's return times -- the return
 combinatorics of a circle map with no periodic orbit equal those of the
 rotation by its rotation number, so successive best returns bracket it with
-error 1/(q_d q_{d+1}).
+error 1/(q_d q_{d+1}).  Both walk one reduced orbit (`_scan_returns`), and
+so do every burn-in and `circlemap.iterate` at a float.
 
 The return scan is a single streaming pass over the orbit with an early-exit
 callback, so tuning decisions (is the rotation number left or right of the
@@ -37,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .circlemap import TWO_PI, AnalyticCircleMap, iterate
+from .circlemap import TWO_PI, AnalyticCircleMap
 from .contfrac import ContinuedFraction, FiniteTail
 from .errors import PeriodicOrbitDetected, TargetUnreachable
 
@@ -72,7 +73,7 @@ def rotation_number_birkhoff(f: AnalyticCircleMap, x0: float = 0.0,
     """Orbit-average estimate (f^n(x0) - x0)/n mod 1, error bound 1/n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    disp = iterate(f, x0, n) - x0
+    disp = _walk(f, x0, n).disp
     return RotationEstimate(value=(disp / n) % 1.0, method="birkhoff", n=n,
                             error_bound=1.0 / n)
 
@@ -89,7 +90,7 @@ class _ReturnScan:
     """
 
     __slots__ = ("returns", "best_pos", "best_neg", "lower", "upper",
-                 "overall_count")
+                 "overall_count", "disp", "y")
 
     def __init__(self):
         self.returns: list[ClosestReturn] = []
@@ -118,6 +119,10 @@ class _ReturnScan:
         self.returns.append(rec)
         self.overall_count += overall
         return True
+
+    def end(self, disp: float, y: float) -> "_ReturnScan":
+        self.disp, self.y = disp, y
+        return self
 
     def overall_returns(self) -> list[ClosestReturn]:
         return [r for r in self.returns if r.overall]
@@ -160,6 +165,9 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
     bounded by the next partial quotient, so a long stall means the
     structure broke (float floor, or the value drifted off the target's
     quotient pattern) and deeper certified returns will not come.
+
+    The scan records where the walk stopped, for `_walk`: y, and disp =
+    f^q(x0) - x0 = w + (y - y0) (q c for a rotation), rounded once.
     """
     scan = _ReturnScan()
 
@@ -169,8 +177,10 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
         return min(n_max, stall_factor * q_last + 4096)
 
     stall_q = stalled_at(1)
+    x0 = float(x0)
+    y0 = x0 - math.floor(x0)
+    c = f.mean_shift
     if f.degree == 0:
-        c = f.mean_shift
         done = 0
         while done < min(n_max, stall_q):
             m = min(_CHUNK, n_max - done)
@@ -188,17 +198,14 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
                 if abs(float(e[i])) < rational_tol:
                     raise PeriodicOrbitDetected(q, int(p[i]), float(e[i]))
                 if stop(scan):
-                    return scan
+                    return scan.end(q * c, (y0 + q * c) % 1.0)
             done += m
-        return scan
-    c = f.mean_shift
+        return scan.end(done * c, (y0 + done * c) % 1.0)
     modes = f._scalar_modes
     # every Arnold map; ca*cos(t) would add an exact zero (see above)
     sine_only = len(modes) == 1 and modes[0][1] == 0.0
     k2p1, _, cb1 = modes[0]
     cos, sin, floor = math.cos, math.sin, math.floor
-    x0 = float(x0)
-    y0 = x0 - floor(x0)
     y, w = y0, 0
     thr_pos = thr_neg = math.inf
     q = 0
@@ -235,9 +242,15 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
             if abs(e) < rational_tol:
                 raise PeriodicOrbitDetected(q, p, e)
             if stop(scan):
-                return scan
+                return scan.end(w + (y - y0), y)
             break  # the loop limit moved with the stall guard
-    return scan
+    return scan.end(w + (y - y0), y)
+
+
+def _walk(f: AnalyticCircleMap, x0: float, n: int) -> _ReturnScan:
+    """The return scan's orbit of x0 walked n steps, read for where it ends
+    (.disp, .y); it stops at no return and tests for no periodic orbit."""
+    return _scan_returns(f, x0, n, lambda s: False, 0.0)
 
 
 def closest_returns(f: AnalyticCircleMap, x0: float = 0.0,
@@ -295,7 +308,10 @@ def rotation_number_closest_return(f: AnalyticCircleMap, x0: float = 0.0,
     when no two-sided bracket forms."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    base = iterate(f, x0, burn_in) if burn_in else x0
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
+    # a rotation's returns do not depend on the base point: no burn-in
+    base = _walk(f, x0, burn_in).y if f.degree else x0
     scan = _scan_returns(f, base, n_max,
                          lambda s: s.overall_count >= depth + 2, RATIONAL_TOL)
     est = _estimate_from(scan)
@@ -325,9 +341,10 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     burn_in) gives: its RotationEstimate, or the PeriodicOrbitDetected it
     raises, returned here in its place.
 
-    The maps of degree >= 1 walk together, one array entry per map: the
-    burn-in on the unreduced lift, then the reduced return scan, with each
-    map's modes stacked (zero-padded) into coefficient arrays.  Every entry
+    The maps of degree >= 1 walk together, one array entry per map, with
+    each map's modes stacked (zero-padded) into coefficient arrays: the
+    base points are reduced to [0, 1) once, and the burn-in and the return
+    scan both step that reduced orbit, as the scalar walk does.  Every entry
     takes the float operations of the scalar scan, so a result does not
     depend on the other maps in the batch.  A return that beats its map's
     threshold goes to that map's _ReturnScan; a map leaves the walk on a
@@ -361,10 +378,12 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     for j, i in enumerate(live):
         for k, (_, a, b) in enumerate(maps[i]._scalar_modes):
             ca[k, j], cb[k, j] = a, b
-    x = np.array([float(x0s[i]) for i in live])
+    y = np.array([float(x0s[i]) for i in live])
+    y -= np.floor(y)
     for _ in range(burn_in):
-        x = x + _batch_mode_sum(c, ca, cb, x - np.floor(x))
-    y0 = x - np.floor(x)
+        y += _batch_mode_sum(c, ca, cb, y)
+        y -= np.floor(y)
+    y0 = y - np.floor(y)
     y, w = y0.copy(), np.zeros_like(y0)
     thr_pos = np.full_like(y0, math.inf)
     thr_neg = np.full_like(y0, math.inf)
@@ -445,9 +464,6 @@ def _probe(f: AnalyticCircleMap, alpha: float,
         return s.width() <= eps
 
     scan = _scan_returns(f, 0.0, _N_CAP, stop, RATIONAL_TOL, _STALL)
-    if not scan.returns:
-        b = rotation_number_birkhoff(f, 0.0, 4096)
-        return b.value - alpha, None
     r = scan.returns[-1]
     dev = (r.p + r.err) / r.q - alpha
     br = scan.bracket()
@@ -512,10 +528,7 @@ def eq_rot_check(f: AnalyticCircleMap, n: int) -> float:
     """Residual between the orbit-averaged displacement from x0 = 0 (the
     unique-ergodicity estimate of the invariant-measure displacement
     integral) and the certified rotation number."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    avg = rotation_number_birkhoff(f, 0.0, n).value
     eps = 1e-12 if f.degree == 0 else 1e-10  # rotations certify cheaply
-    rho = rho_interval(f, eps)
-    avg = iterate(f, 0.0, n) / n
-    d = abs(avg % 1.0 - rho.value)
+    d = abs(avg - rho_interval(f, eps).value)
     return min(d, 1.0 - d)

@@ -9,7 +9,7 @@ from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
 from circlelab.rotation import (RATIONAL_TOL, _ReturnScan, _scan_returns,
-                                closest_return_batch, closest_returns,
+                                _walk, closest_return_batch, closest_returns,
                                 eq_rot_check, quotients_from_returns,
                                 rho_interval, rotation_number_birkhoff,
                                 rotation_number_closest_return, tune_parameter)
@@ -186,11 +186,15 @@ def test_return_errors_do_not_drift(arnold_b005_golden):
     for q in qs:
         r = got[q]
         assert abs(r.err - float(exact[q] - r.p)) <= 1e-12
+    # the plain walk reads the same reduced orbit: its lift is one rounding
+    # (half an ulp of 46368) off, its reduced end point stays within 1e-13
+    q = qs[-1]
+    assert abs(iterate(f, 0.0, q) - float(exact[q])) <= 4e-12
+    assert abs(_walk(f, 0.0, q).y - float(exact[q] % 1)) <= 1e-13
 
 
 def test_scalar_in_gives_float_out():
     f = ArnoldFamily(0.3).map_at(0.61)
-    assert type(f.step_scalar(0.25)) is float
     assert type(iterate(f, 0.25, 10)) is float
     scan = _scan_returns(f, 0.0, 2000, lambda s: False, RATIONAL_TOL)
     for r in scan.returns:
@@ -357,6 +361,10 @@ def test_closest_return_batch_rejects_what_the_scan_rejects():
     f = ArnoldFamily(0.3).map_at(0.61)
     with pytest.raises(ValueError):
         closest_return_batch([f], [0.0], depth=0)
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        closest_return_batch([f], [0.0], burn_in=-1)
+    with pytest.raises(ValueError, match="burn_in must be >= 0"):
+        rotation_number_closest_return(f, 0.0, burn_in=-1)
     assert closest_return_batch([], []) == []
 
 
