@@ -259,26 +259,26 @@ def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
 
 
 def inverse(f: AnalyticCircleMap, y: ArrayLike) -> ArrayLike:
-    """Monotone inverse of the lift: the unique x with f(x) = y."""
-    scalar = np.ndim(y) == 0
+    """Monotone inverse of the lift: the unique x with f(x) = y, by Newton
+    safeguarded on a monotone bracket (a step that leaves it bisects).  A
+    step that rounds to zero means x has converged, and is kept; f and Df
+    share one `_eval_modes` call.  Stops below 1e-14, in practice at an ulp."""
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     amp = f.displacement_bound()
-    lo = ya - f.mean_shift - amp
-    hi = ya - f.mean_shift + amp
+    lo, hi = ya - f.mean_shift - amp, ya - f.mean_shift + amp
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        err = evaluate(f, x) - ya
+        fx, df = _eval_modes(f, x, (0, 1))
+        err = fx - ya
         if np.max(np.abs(err)) < 1e-14:
             break
-        hi = np.where(err > 0, x, hi)
-        lo = np.where(err > 0, lo, x)
-        step = err / derivative(f, x, 1)
-        cand = x - step
-        inside = (cand > lo) & (cand < hi)
+        lo, hi = np.where(err > 0, lo, x), np.where(err > 0, x, hi)
+        cand = x - err / df
+        inside = (cand > lo) & (cand < hi) | (cand == x)
         x = np.where(inside, cand, 0.5 * (lo + hi))
     else:
         raise NoConvergence("lift inversion did not reach 1e-14")
-    return float(x[0]) if scalar else x.reshape(np.shape(y))
+    return float(x[0]) if np.ndim(y) == 0 else x.reshape(np.shape(y))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +322,7 @@ def compose_project(g: AnalyticCircleMap, f: AnalyticCircleMap,
 
 def conjugate_project(h: AnalyticCircleMap, f: AnalyticCircleMap,
                       out_degree: int, alias_tol: float = 1e-9) -> CompositionResult:
-    """h o f o h^{-1} sampled pointwise (the inverse via the monotone root
-    find) and spectrally projected."""
+    """h o f o h^{-1} sampled pointwise, through `inverse`, and projected."""
     return _project(lambda x: evaluate(h, evaluate(f, inverse(h, x))),
                     [h.degree, f.degree], out_degree, alias_tol)
 

@@ -291,7 +291,8 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
 
 def linearization_defect(h: AnalyticCircleMap, f: AnalyticCircleMap,
                          alpha: float, grid: int = 4096) -> float:
-    """Pointwise grid sup of |h(f(h^{-1}(x))) - x - alpha| on the real axis."""
+    """Pointwise grid sup of |h(f(h^{-1}(x))) - x - alpha| on the real axis;
+    the inverse is solved to an ulp, so its error adds at that level."""
     x = np.arange(grid) / grid
     y = evaluate(h, evaluate(f, inverse(h, x)))
     return float(np.max(np.abs(y - x - alpha)))

@@ -157,8 +157,8 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
     zero (every Arnold map) steps by c + cb*sin(t), the same float as
     c + (ca*cos(t) + cb*sin(t)) up to the sign of a zero, since
     ca*cos(t) = +-0.0 adds an exact zero.  The return state is offered only
-    the returns that beat their side's best, by the same rule it applies
-    itself.
+    returns it may record: beating their side's best by its rule (the loop),
+    or their side's strict running minimum (a rotation's closed-form chunk).
 
     With stall_factor set, the walk also gives up once the orbit has run
     stall_factor times past the last recorded return: return gaps are
@@ -184,14 +184,14 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
         done = 0
         while done < min(n_max, stall_q):
             m = min(_CHUNK, n_max - done)
-            j = np.arange(done + 1, done + m + 1, dtype=float)
-            d = j * c
+            d = np.arange(done + 1, done + m + 1, dtype=float) * c
             p = np.round(d)
             e = d - p
-            cand = np.nonzero((e >= 0) & (e < scan.best_pos) |
-                              (e < 0) & (-e < scan.best_neg))[0]
-            for i in cand:
-                q = int(j[i])
+            ep, en = np.where(e >= 0, e, np.inf), np.where(e >= 0, np.inf, -e)
+            run = np.minimum.accumulate  # each side's running minimum of |e|
+            for i in np.nonzero((ep < run(np.r_[scan.best_pos, ep[:-1]])) |
+                                (en < run(np.r_[scan.best_neg, en[:-1]])))[0]:
+                q = done + 1 + int(i)
                 if not scan.offer(q, int(p[i]), float(e[i])):
                     continue
                 stall_q = stalled_at(q)

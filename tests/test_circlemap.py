@@ -98,11 +98,33 @@ def test_inverse_round_trip_and_monotone():
     f = ArnoldFamily(0.5).map_at(0.0)
     y = RNG.uniform(-1, 2, 50)
     x = inverse(f, y)
-    assert np.max(np.abs(evaluate(f, x) - y)) < 1e-13
+    assert np.max(np.abs(evaluate(f, x) - y)) < 4e-15
     ys = np.sort(y)
     assert np.all(np.diff(inverse(f, ys)) >= 0)
     assert inverse(rotation(0.3), 0.7) == pytest.approx(0.4)
     assert inverse(f, 0.0) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("m", [64, 4096])
+def test_inverse_converges_in_few_newton_steps(monkeypatch, m):
+    # a Newton step that rounds to zero marks a converged point; bisecting
+    # it again costs ~40 evaluations, and the loop runs until every point
+    # has converged
+    import circlelab.circlemap as cm
+    calls = []
+    real = cm._eval_modes
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cm, "_eval_modes", counted)
+    f = ArnoldFamily(0.5).map_at(0.0)
+    y = np.arange(m) / m
+    x = inverse(f, y)
+    assert len(calls) <= 20
+    monkeypatch.undo()
+    assert np.max(np.abs(evaluate(f, x) - y)) <= 4.5e-16
 
 
 def test_compose_rotations_exact():

@@ -8,10 +8,11 @@ from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
                                  conjugate_project, iterate, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
-from circlelab.rotation import (RATIONAL_TOL, _ReturnScan, _scan_returns,
-                                _walk, closest_return_batch, closest_returns,
-                                eq_rot_check, quotients_from_returns,
-                                rho_interval, rotation_number_birkhoff,
+from circlelab.rotation import (RATIONAL_TOL, _estimate_from, _ReturnScan,
+                                _scan_returns, _walk, closest_return_batch,
+                                closest_returns, eq_rot_check,
+                                quotients_from_returns, rho_interval,
+                                rotation_number_birkhoff,
                                 rotation_number_closest_return, tune_parameter)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -286,6 +287,51 @@ def test_scan_equals_the_reference_walk(f):
     got = _records(f, 50000)
     assert len(got) > 30
     assert got == _reference_walk(f, 50000)
+
+
+def _rotation_reference(c: float, n: int, stop) -> _ReturnScan:
+    """A rotation's return scan with every step offered to
+    _ReturnScan.offer, in closed form: f^q(x0) - x0 = q c."""
+    scan = _ReturnScan()
+    for q in range(1, n + 1):
+        d = q * c
+        p = round(d)
+        if scan.offer(q, p, d - p):
+            if abs(d - p) < RATIONAL_TOL:
+                raise PeriodicOrbitDetected(q, p, d - p)
+            if stop(scan):
+                break
+    return scan
+
+
+def _closest_or_lock(run):
+    try:
+        return run()
+    except PeriodicOrbitDetected as po:
+        return ("locked", po.q, po.p, po.residual)
+
+
+@pytest.mark.parametrize("c", [0.3123, 2.0 / 7.0 + 3e-9])
+def test_rotation_scan_offers_only_running_minima(monkeypatch, c):
+    # a rotation's chunk offers only the returns below their side's running
+    # minimum, and records what offering every step records
+    f = rotation(c)
+    ref = _rotation_reference(c, 400, lambda s: s.overall_count >= 26)
+    offers = []
+    real = _ReturnScan.offer
+
+    def counted(self, *args):
+        offers.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(_ReturnScan, "offer", counted)
+    est = rotation_number_closest_return(f, 0.1, 24, 400)
+    monkeypatch.undo()
+    assert len(offers) <= 2 * len(ref.returns)
+    assert est == _estimate_from(ref)
+    assert _closest_or_lock(lambda: closest_returns(f)) == _closest_or_lock(
+        lambda: _rotation_reference(c, 100000,
+                                    lambda s: False).overall_returns())
 
 
 def _mixed_maps(seed: int, n: int) -> tuple:
