@@ -10,7 +10,10 @@ Every pointwise value goes through one evaluator, `_eval_modes`: it takes a
 single complex exponential z = e^(2 pi i (x mod 1)) per point and sums the
 modes by Horner's rule in z, so a call costs O(K m) flops and O(m) memory for
 K modes at m points, and several derivative orders at the same points share
-that z.
+that z.  Every array orbit that carries Df is stepped by one walker,
+`_Orbit`: the log-derivative chain rule, the partition-geometry grid walks
+and Herman's averaged conjugacy all read it.  Orbits of positions alone
+(`orbit_lift`, `iterate` on an array) are plain `evaluate` loops.
 
 Every constructed map is certified orientation-preserving, with a true lower
 bound df_min > 0 on Df.  The coefficient bound Df >= 1 - sum 4 pi k |v_hat(k)|
@@ -21,7 +24,6 @@ Lipschitz safety margin from the coefficient bound on |D2f|.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -174,14 +176,15 @@ def evaluate(f: AnalyticCircleMap, x: ArrayLike) -> ArrayLike:
 
 def iterate(f: AnalyticCircleMap, x: ArrayLike, n: int) -> ArrayLike:
     """n-fold lift composition f^n(x).  A float walks the return scan's
-    reduced orbit and adds its displacement to x; an array steps the lift
-    through `evaluate`, as `orbit_lift` and the geometry grid walk do."""
+    reduced orbit and adds its displacement to x; an array (returned as a
+    float array, n = 0 included) steps the lift through `evaluate`, as
+    `orbit_lift` does: a walk of positions only, with no Df to carry."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if np.ndim(x) == 0:
         from .rotation import _walk  # rotation imports this module
         return float(x) + _walk(f, x, n).disp
-    y = x
+    y = np.asarray(x, dtype=float)
     for _ in range(n):
         y = evaluate(f, y)
     return y
@@ -201,83 +204,97 @@ def orbit_lift(f: AnalyticCircleMap, x: ArrayLike, n: int) -> np.ndarray:
     return out
 
 
-def _log_derivative_steps(f: AnalyticCircleMap, x: np.ndarray, order: int):
-    """Yield (f^i(x), Df(f^{i-1}(x)), D^order ln Df^i(x), Df^i(x)) after each
-    step i along the orbit of the 1-d array x: the chain rule through the
-    iterates, their derivative products carried alongside.  The third array
-    is updated in place; for order >= 1, Df^i above _BLOWUP_GUARD raises
-    DerivativeBlowup."""
-    cur = x
-    s = np.zeros_like(cur)
-    a = np.ones_like(cur)   # Df^i
-    b = np.zeros_like(cur)  # D2f^i
-    c = np.zeros_like(cur)  # D3f^i
-    while True:
-        # f and D1f..D^{order+1}f at the current points, from one z
-        fx, f1, *hi = _eval_modes(f, cur, range(order + 2))
-        if order == 0:
-            s += np.log(f1)
-        else:
-            f2 = hi[0]
-            g1 = f2 / f1
-            if order == 1:
-                s += g1 * a
-            else:
-                f3 = hi[1]
-                g2 = f3 / f1 - g1 * g1
-                if order == 2:
-                    s += g2 * a * a + g1 * b
+class _Orbit:
+    """The orbit of an array of points `x0` with its derivatives, stepped
+    forward on request: the one walk of an array orbit that carries Df.
+
+    After `advance(j)` it holds f^j (`x`), Df^j (`a`), ln Df^j (`ln`) and
+    D^order ln Df^j (`d`; `ln` itself at order 0), carried by the chain rule
+    from f and D1f..D^{order+1}f at each orbit point, which one
+    `_eval_modes` call per step reads.  From order 1 up it also holds the
+    power sums 1 + sum_{0<i<j} (Df^i)^l for l = 1, 2 (`s1`, `s2`), and a
+    Df^j above `_BLOWUP_GUARD`, read at each step, raises DerivativeBlowup.
+    `ln`, `d`, `s1` and `s2` are updated in place; an orbit read at j
+    equals a fresh one advanced to j bit for bit."""
+
+    def __init__(self, f: AnalyticCircleMap, x: np.ndarray, order: int = 0):
+        self.f, self.order, self.j = f, order, 0
+        self.x0 = self.x = x
+        self.a = np.ones_like(x)
+        self.ln = np.zeros_like(x)
+        self.d = np.zeros_like(x) if order else self.ln
+        self._b = np.zeros_like(x)  # D2f^j
+        self._c = np.zeros_like(x)  # D3f^j
+        if order:
+            self.s1, self.s2 = np.ones_like(x), np.ones_like(x)
+
+    def advance(self, j: int) -> "_Orbit":
+        order, a, b, c = self.order, self.a, self._b, self._c
+        for self.j in range(self.j + 1, j + 1):
+            if order and self.j > 1:
+                self.s1 += a
+                self.s2 += a * a
+            fx, f1, *hi = _eval_modes(self.f, self.x, range(order + 2))
+            self.ln += np.log(f1)
+            if order:
+                f2 = hi[0]
+                g1 = f2 / f1
+                if order == 1:
+                    self.d += g1 * a
                 else:
-                    f4 = hi[2]
-                    g3 = f4 / f1 - 3.0 * f3 * f2 / f1**2 + 2.0 * g1**3
-                    s += g3 * a**3 + 3.0 * g2 * a * b + g1 * c
-            if order >= 3:
-                c = f3 * a**3 + 3.0 * f2 * a * b + f1 * c
-            if order >= 2:
-                b = f2 * a * a + f1 * b
-        a = f1 * a
-        if order and np.max(np.abs(a)) > _BLOWUP_GUARD:
-            raise DerivativeBlowup(
-                f"orbit derivative product exceeded {_BLOWUP_GUARD:g}")
-        cur = fx
-        yield cur, f1, s, a
+                    f3 = hi[1]
+                    g2 = f3 / f1 - g1 * g1
+                    if order == 2:
+                        self.d += g2 * a * a + g1 * b
+                    else:
+                        f4 = hi[2]
+                        g3 = f4 / f1 - 3.0 * f3 * f2 / f1**2 + 2.0 * g1**3
+                        self.d += g3 * a**3 + 3.0 * g2 * a * b + g1 * c
+                        c = f3 * a**3 + 3.0 * f2 * a * b + f1 * c
+                    b = f2 * a * a + f1 * b
+            a = f1 * a
+            if order and np.max(np.abs(a)) > _BLOWUP_GUARD:
+                raise DerivativeBlowup(
+                    f"orbit derivative product exceeded {_BLOWUP_GUARD:g}")
+            self.x = fx
+        self.a, self._b, self._c = a, b, c
+        return self
 
 
 def orbit_log_derivative(f: AnalyticCircleMap, x: ArrayLike, n: int,
                          order: int = 0) -> ArrayLike:
-    """D^order ln Df^n(x) for order 0..3: n steps of the forward
-    accumulation in `_log_derivative_steps`."""
+    """D^order ln Df^n(x) for order 0..3: `_Orbit`'s forward accumulation
+    of the chain rule over n steps."""
     if order < 0 or order > 3:
         raise ValueError("order must be in 0..3")
     if n < 0:
         raise ValueError("n must be >= 0")
-    cur = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.zeros_like(cur)
-    for _, _, s, _ in itertools.islice(_log_derivative_steps(f, cur, order), n):
-        pass
-    return float(s[0]) if np.ndim(x) == 0 else s.reshape(np.shape(x))
+    d = _Orbit(f, np.atleast_1d(np.asarray(x, dtype=float)), order).advance(n).d
+    return float(d[0]) if np.ndim(x) == 0 else d.reshape(np.shape(x))
 
 
 def inverse(f: AnalyticCircleMap, y: ArrayLike) -> ArrayLike:
     """Monotone inverse of the lift: the unique x with f(x) = y, by Newton
     safeguarded on a monotone bracket (a step that leaves it bisects).  A
     step that rounds to zero means x has converged, and is kept; f and Df
-    share one `_eval_modes` call.  Stops below 1e-14, in practice at an ulp."""
+    share one `_eval_modes` call.  Stops when every |f(x) - y| is below
+    1e-14 max(1, |y|), a bound above an ulp of y; in practice at an ulp."""
     ya = np.atleast_1d(np.asarray(y, dtype=float))
     amp = f.displacement_bound()
     lo, hi = ya - f.mean_shift - amp, ya - f.mean_shift + amp
     x = 0.5 * (lo + hi)
+    tol = 1e-14 * np.maximum(1.0, np.abs(ya))
     for _ in range(100):
         fx, df = _eval_modes(f, x, (0, 1))
         err = fx - ya
-        if np.max(np.abs(err)) < 1e-14:
+        if np.all(np.abs(err) < tol):
             break
         lo, hi = np.where(err > 0, lo, x), np.where(err > 0, x, hi)
         cand = x - err / df
         inside = (cand > lo) & (cand < hi) | (cand == x)
         x = np.where(inside, cand, 0.5 * (lo + hi))
     else:
-        raise NoConvergence("lift inversion did not reach 1e-14")
+        raise NoConvergence("lift inversion did not reach 1e-14 max(1, |y|)")
     return float(x[0]) if np.ndim(y) == 0 else x.reshape(np.shape(y))
 
 

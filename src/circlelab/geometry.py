@@ -13,14 +13,14 @@ grid, with the witness point attached; they are per-map, per-level
 observations, never universal claims.
 
 All of these readings live on one orbit of one grid, and a report walks it
-once: the base grid is stepped to q_{n_max+1}, and as the walk passes each
-mark it keeps only what the levels read -- beta_n and ln Df^{q_n} at
-j = q_n, |D ln Df^j| at the growth samples, and the power sums as prefixes
-of one running sum.  The Denjoy searches of all levels run in lockstep, and
-one orbit of 0 serves every level's tiling.  `build_partition`,
-`denjoy_checks` and `derivative_growth_check` read that shared walk inside
-`geometry_report` and a walk of their own when called alone, with the same
-results bit for bit.
+once: `circlemap._Orbit` steps the base grid to q_{n_max+1}, and as the
+walk passes each mark it keeps only what the levels read -- beta_n and
+ln Df^{q_n} at j = q_n, |D ln Df^j| at the growth samples, and the power
+sums as prefixes of one running sum.  The Denjoy searches of all levels run
+in lockstep, and one orbit of 0 serves every level's tiling.
+`build_partition`, `denjoy_checks` and `derivative_growth_check` read that
+shared walk inside `geometry_report` and a walk of their own when called
+alone, with the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .circlemap import (AnalyticCircleMap, _log_derivative_steps, derivative,
+from .circlemap import (AnalyticCircleMap, _Orbit, derivative,
                         log_derivative_variation, orbit_lift)
 from .contfrac import cf_expand, convergents
 from .errors import EmptyWindow, PeriodicOrbitDetected, TilingFailure
@@ -74,44 +74,6 @@ class PartitionLevel:
         return self.M / self.m
 
 
-# ---------------------------------------------------------------------------
-# the grid walk every level and check reads
-
-
-class _GridWalk:
-    """The orbit of a 1-d array of points `x0`, stepped forward on request.
-
-    After `advance(j)` it holds f^j (`x`), ln Df^j (`ln`) and, for order
-    r >= 1, D^r ln Df^j (`d`), Df^j (`a`) and the power sums
-    1 + sum_{0<i<j} (Df^i)^l for l = 1, 2 (`s1`, `s2`); `ln` and `d` are
-    updated in place as the walk goes on.  Every array comes from the steps
-    of `_log_derivative_steps`, order 0 for the order-0 walk, so a walk read
-    at j equals a fresh walk of j steps bit for bit, and order r >= 1 steps
-    under its blow-up guard."""
-
-    def __init__(self, f: AnalyticCircleMap, x: np.ndarray, order: int):
-        self.order = order
-        self.j = 0
-        self.x0 = self.x = x
-        self.ln = np.zeros_like(x)
-        self.d = self.ln
-        self.a = np.ones_like(x)
-        self.s1, self.s2 = np.ones_like(x), np.ones_like(x)
-        self._steps = _log_derivative_steps(f, x, order)
-
-    def advance(self, j: int) -> "_GridWalk":
-        for self.j in range(self.j + 1, j + 1):
-            if self.order and self.j > 1:
-                self.s1 += self.a
-                self.s2 += self.a * self.a
-            self.x, df, self.d, self.a = next(self._steps)
-            if self.order:
-                self.ln += np.log(df)
-            else:
-                self.ln = self.d
-        return self
-
-
 def _growth_samples(q1: int) -> list[int]:
     return sorted({1, max(1, q1 // 3), max(1, (2 * q1) // 3), q1})
 
@@ -140,7 +102,7 @@ def _growth_record(n: int, order: int, level: PartitionLevel, samples: dict,
 def _growth_walk(f: AnalyticCircleMap, n: int, level: PartitionLevel,
                  order: int) -> "GrowthCheck":
     """The growth check of one level from its own q_{n+1}-step walk."""
-    walk = _GridWalk(f, level.grid, order)
+    walk = _Orbit(f, level.grid, order)
     samples = {j: np.abs(walk.advance(j).d)
                for j in _growth_samples(level.q_next)}
     return _growth_record(n, order, level, samples, walk.s1, walk.s2)
@@ -195,7 +157,7 @@ class _LevelWalk:
         self.f, self.chain, self.rho, self.var = f, chain, rho, var
         self.grid = grid
         self.order = order
-        self.walk = _GridWalk(f, np.arange(grid) / grid, order)
+        self.walk = _Orbit(f, np.arange(grid) / grid, order)
         top = max(levels)
         self.tiling = orbit_lift(f, 0.0, chain[top][0] + chain[top + 1][0])
         self.levels: dict = {}
@@ -272,7 +234,7 @@ class _LevelWalk:
                 margin = 0.0
                 break
             g *= 4
-            walk = _GridWalk(self.f, np.arange(g) / g, 0).advance(q)
+            walk = _Orbit(self.f, np.arange(g) / g).advance(q)
         total, max_overlap = _tiling(self.tiling, q, p, q1, p1, sign)
         level = PartitionLevel(
             n=n, q=q, p=p, q_next=q1, p_next=p1, sign=sign,
@@ -325,7 +287,7 @@ def _denjoy_maxima(f: AnalyticCircleMap, levels: Sequence[PartitionLevel]
     qs = np.array([lev.q for lev in levels])
 
     def ln_df_at(x: np.ndarray) -> np.ndarray:  # row i at q_n of level i
-        walk = _GridWalk(f, x.ravel(), 0)
+        walk = _Orbit(f, x.ravel())
         out = np.empty_like(x)
         for q in sorted(set(qs.tolist())):
             rows = qs == q

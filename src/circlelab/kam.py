@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .circlemap import (AnalyticCircleMap, _eval_modes, compose_project,
+from .circlemap import (AnalyticCircleMap, _Orbit, compose_project,
                         conjugate_project, evaluate, inverse, orbit_lift,
                         rotation, strip_norm)
 from .contfrac import ContinuedFraction
@@ -311,8 +311,9 @@ def _fit_trace_constants(trace: KamTrace):
             slope = ys[0] / xs[0]
         trace.decay_exponent = float(slope)
         trace.quad_constant = float(max(b / a**1.5 for a, b in pairs))
+    # a mean shift at 1e-12 or below is the rounding of the recentring
     shifts = [(s.mean_shift, s.norm_v) for s in trace.steps
-              if s.norm_v > 1e-13]
+              if s.norm_v > 1e-13 and s.mean_shift > 1e-12]
     if shifts:
         trace.mean_shift_constant = float(max(m / v**2 for m, v in shifts))
 
@@ -370,23 +371,19 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.arange(grid) / grid
-    # the orbit and the slope of the average along it: Dh_n = sum_i Df^i / n,
-    # with f and Df at each orbit point sharing one evaluation
-    orb = np.empty((n + 1, grid))
-    orb[0] = x
-    dh = np.ones_like(x)
-    a = np.ones_like(x)
-    for i in range(1, n + 1):
-        orb[i], df = _eval_modes(f, orb[i - 1], (0, 1))
-        if i < n:
-            a = a * df
-            dh += a
+    # h_n and its slope Dh_n = sum_{i<n} Df^i / n as running sums along one
+    # walk of the orbit
+    orb = _Orbit(f, x)
+    h_vals, dh = x.copy(), np.ones_like(x)
+    for i in range(1, n):
+        h_vals += orb.advance(i).x
+        dh += orb.a
+    h_vals /= n
     dh /= n
-    h_vals = orb[:n].sum(axis=0) / n
     if rho is None:
         eps = 1e-12 if f.degree == 0 else 1e-10
         rho = rho_interval(f, eps).value
-    defect = float(np.max(np.abs((orb[n] - orb[0]) / n - rho)))
+    defect = float(np.max(np.abs((orb.advance(n).x - x) / n - rho)))
     if float(dh.min()) <= 1e-12:
         raise NotMonotone(f"averaged conjugacy has min slope {dh.min():.3e}")
     deg = min(grid // 3, 256)

@@ -55,6 +55,19 @@ def test_iterate_rotation_displacement():
     assert iterate(f, 0.1, 8) == pytest.approx(0.1 + 2.0)
 
 
+@pytest.mark.parametrize("shape", [(37,), (6, 5)])
+def test_iterate_on_an_array_is_the_last_orbit_point(shape):
+    f = ArnoldFamily(0.3).map_at(0.61)
+    xs = np.linspace(-0.7, 1.9, math.prod(shape)).reshape(shape)
+    for n in (1, 2, 21):
+        got = iterate(f, xs, n)
+        assert got.shape == shape
+        assert np.array_equal(got, orbit_lift(f, xs, n)[-1])
+    same = iterate(f, xs.tolist(), 0)
+    assert isinstance(same, np.ndarray) and same.dtype == float
+    assert np.array_equal(same, xs)
+
+
 @pytest.mark.parametrize("n", [-1, -2])
 def test_orbit_lift_rejects_negative_length(n):
     with pytest.raises(ValueError, match="n must be >= 0"):
@@ -125,6 +138,14 @@ def test_inverse_converges_in_few_newton_steps(monkeypatch, m):
     assert len(calls) <= 20
     monkeypatch.undo()
     assert np.max(np.abs(evaluate(f, x) - y)) <= 4.5e-16
+
+
+@pytest.mark.parametrize("y", [1000.4567, -1000.4567, 1e7 + 0.25])
+def test_inverse_converges_far_from_the_unit_interval(y):
+    # an absolute stop of 1e-14 lies below an ulp of y once |y| is ~1000
+    f = ArnoldFamily(0.5).map_at(0.3)
+    x = inverse(f, y)
+    assert abs(evaluate(f, x) - y) <= 2 * np.spacing(abs(y))
 
 
 def test_compose_rotations_exact():

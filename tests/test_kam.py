@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
-                                 rotation, strip_norm)
+from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily, derivative,
+                                 evaluate, orbit_lift, rotation, strip_norm)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import ConjugacyNotDiffeo, Resonance, SmallDivisor
 from circlelab.kam import (HermanResult, KamConfig, herman_average,
@@ -189,6 +189,53 @@ def test_defect_matches_direct_conjugation(arnold_b005_golden):
     res = kam_iterate(arnold_b005_golden, KamConfig(ContinuedFraction.golden()))
     d = linearization_defect(res.h, arnold_b005_golden, GOLDEN, grid=512)
     assert d <= res.trace.defect * 1.5 + 1e-12
+
+
+def test_mean_shift_constant_skips_rounding_noise(arnold_b005_golden):
+    # the last step's mean shift is ~1e-13 of rounding; fitted on it the
+    # constant read 18
+    trace = kam_iterate(arnold_b005_golden,
+                        KamConfig(ContinuedFraction.golden())).trace
+    c = trace.mean_shift_constant
+    assert c < 5
+    assert any(s.mean_shift > 1e-12 and s.mean_shift / s.norm_v**2 == c
+               for s in trace.steps)
+
+
+def _herman_stacked(f, n, rho, grid=1024):
+    """herman_average as one stacked (n+1) x grid orbit, with Df^i from
+    `derivative` along it."""
+    x = np.arange(grid) / grid
+    orb = orbit_lift(f, x, n)
+    dh = np.ones_like(x)
+    a = np.ones_like(x)
+    for i in range(1, n):
+        a = a * derivative(f, orb[i - 1], 1)
+        dh += a
+    dh /= n
+    h_vals = orb[:n].sum(axis=0) / n
+    defect = float(np.max(np.abs((orb[n] - orb[0]) / n - rho)))
+    assert float(dh.min()) > 1e-12
+    c = np.fft.rfft(h_vals - x) / grid
+    h = AnalyticCircleMap(float(c[0].real), c[1:min(grid // 3, 256) + 1])
+    z = (np.arange(grid) + 0.5) / grid
+    orbz = orbit_lift(f, z, n)
+    rhs = orbz[:n].sum(axis=0) / n + (orbz[n] - orbz[0]) / n
+    resid = float(np.max(np.abs(evaluate(h, orbz[1]) - rhs)))
+    return h, defect, resid
+
+
+@pytest.mark.parametrize("f", [
+    ArnoldFamily(0.3).map_at(0.6167),
+    AnalyticCircleMap(0.618, [-0.006j, 0.002 + 0.001j, 0.0005 - 0.0003j])])
+@pytest.mark.parametrize("n", [1, 2, 13])
+def test_herman_average_equals_the_stacked_orbit(f, n):
+    res = herman_average(f, n, rho=0.618)
+    h, defect, resid = _herman_stacked(f, n, 0.618)
+    assert np.array_equal(res.h.coeffs, h.coeffs)
+    assert res.h.mean_shift == h.mean_shift
+    assert res.defect == defect
+    assert res.identity_residual == resid
 
 
 def test_herman_identity_and_rotation_case():
