@@ -306,11 +306,10 @@ def inverse(f: AnalyticCircleMap, y: ArrayLike) -> ArrayLike:
 class CompositionResult:
     map: AnalyticCircleMap
     tail_energy: float
-    alias_warning: bool
 
 
-def _project(samples_fn, degrees: list[int], out_degree: int,
-             alias_tol: float) -> CompositionResult:
+def _project(samples_fn, degrees: list[int],
+             out_degree: int) -> CompositionResult:
     m = 4 * max([out_degree, 1] + degrees)
     x = np.arange(m) / m
     y = samples_fn(x) - x
@@ -321,27 +320,24 @@ def _project(samples_fn, degrees: list[int], out_degree: int,
         out = np.pad(out, (0, out_degree - out.size))
     tail = 2.0 * float(np.sum(np.abs(c[out_degree + 1:m // 2]) ** 2))
     tail += float(np.abs(c[m // 2]) ** 2) if m // 2 > out_degree else 0.0
-    retained = 2.0 * float(np.sum(np.abs(c[1:out_degree + 1]) ** 2))
-    alias = tail > alias_tol * max(retained, 1e-300)
-    return CompositionResult(AnalyticCircleMap(mean, out), tail, alias)
+    return CompositionResult(AnalyticCircleMap(mean, out), tail)
 
 
 def compose_project(g: AnalyticCircleMap, f: AnalyticCircleMap,
-                    out_degree: int, alias_tol: float = 1e-9) -> CompositionResult:
+                    out_degree: int) -> CompositionResult:
     """g o f sampled on an oversampled grid and projected onto modes up to
-    out_degree; the discarded spectral energy is reported, and the alias flag
-    is raised when it exceeds alias_tol times the retained energy."""
+    out_degree; the discarded spectral energy is reported."""
     if out_degree < max(g.degree, f.degree):
         raise ValueError("out_degree must cover both input degrees")
     return _project(lambda x: evaluate(g, evaluate(f, x)),
-                    [g.degree, f.degree], out_degree, alias_tol)
+                    [g.degree, f.degree], out_degree)
 
 
 def conjugate_project(h: AnalyticCircleMap, f: AnalyticCircleMap,
-                      out_degree: int, alias_tol: float = 1e-9) -> CompositionResult:
+                      out_degree: int) -> CompositionResult:
     """h o f o h^{-1} sampled pointwise, through `inverse`, and projected."""
     return _project(lambda x: evaluate(h, evaluate(f, inverse(h, x))),
-                    [h.degree, f.degree], out_degree, alias_tol)
+                    [h.degree, f.degree], out_degree)
 
 
 def strip_norm(f: AnalyticCircleMap, g: AnalyticCircleMap, nu: float) -> float:

@@ -112,6 +112,12 @@ _SPECS = {
 }
 
 
+# the least value of each count a run accepts, by config section
+_LOWER = {"rotnum": {"n": 1, "depth": 1, "n_max": 1, "burn_in": 0},
+          "scan": {"n_max": 1, "burn_in": 0},
+          "geometry": {"n_max": 1, "grid": 1}}
+
+
 def _resolve(spec: _Spec, cfg: dict) -> dict:
     """The config section, defaults filled in, cast to each key's type."""
     sec = cfg.get(spec.section) or {}
@@ -161,6 +167,8 @@ def validate_config(subcommand: str, cfg: dict) -> list[str]:
     if wrong:
         return out  # the cross-field checks below need well-typed values
     s = _resolve(spec, cfg)
+    out += [f"{spec.section}.{k}: must be >= {lo}"
+            for k, lo in _LOWER.get(spec.section, {}).items() if s[k] < lo]
     if subcommand == "kam":
         try:  # violations() reads only the schedules, not the target
             out.extend(f"kam: {v}" for v in _kam_config(s).violations())

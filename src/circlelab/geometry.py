@@ -17,10 +17,10 @@ once: `circlemap._Orbit` steps the base grid to q_{n_max+1}, and as the
 walk passes each mark it keeps only what the levels read -- beta_n and
 ln Df^{q_n} at j = q_n, |D ln Df^j| at the growth samples, and the power
 sums as prefixes of one running sum.  The Denjoy searches of all levels run
-in lockstep, and one orbit of 0 serves every level's tiling.
-`build_partition`, `denjoy_checks` and `derivative_growth_check` read that
-shared walk inside `geometry_report` and a walk of their own when called
-alone, with the same results bit for bit.
+in lockstep, and one orbit of 0 serves every level's tiling.  The report
+reads that one walk directly; `build_partition`, `denjoy_checks` and
+`derivative_growth_check` each walk their own and return the report's
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -99,15 +99,6 @@ def _growth_record(n: int, order: int, level: PartitionLevel, samples: dict,
                        c_power_sums=c_sums, j_samples=tuple(j_samples))
 
 
-def _growth_walk(f: AnalyticCircleMap, n: int, level: PartitionLevel,
-                 order: int) -> "GrowthCheck":
-    """The growth check of one level from its own q_{n+1}-step walk."""
-    walk = _Orbit(f, level.grid, order)
-    samples = {j: np.abs(walk.advance(j).d)
-               for j in _growth_samples(level.q_next)}
-    return _growth_record(n, order, level, samples, walk.s1, walk.s2)
-
-
 def _tiling(orb: np.ndarray, q: int, p: int, q1: int, p1: int,
             sign: float) -> tuple[float, float]:
     """(total length, max overlap) of the level's tiling by the orbit of 0:
@@ -141,15 +132,14 @@ def _tiling(orb: np.ndarray, q: int, p: int, q1: int, p1: int,
 class _LevelWalk:
     """Levels of the dynamical partition read off one walk of the base grid.
 
-    The walk stops at every mark in order: at j = q_n it builds level n
-    (raising PeriodicOrbitDetected or TilingFailure before it steps past
-    q_n); with order >= 1 it also keeps |D^order ln Df^j| at every growth
-    sample j of the levels and reads each level's growth record at
-    j = q_{n+1}.  A level that does not certify on the base grid refines and
-    walks its own grid, its growth record included, as soon as it is built.
-    The tiling of every level reads one orbit of 0."""
-
-    BUILD, SAMPLE, RECORD = 0, 1, 2  # mark kinds, in their order at one j
+    The constructor walks the grid once, through every mark in order: at
+    j = q_n it builds level n into `levels` (raising PeriodicOrbitDetected or
+    TilingFailure before it steps past q_n); with order >= 1 it also keeps
+    |D^order ln Df^j| at every growth sample j of the levels, and at
+    j = q_{n+1} it puts level n's growth record into `growth` and drops the
+    samples no later record reads.  A level that does not certify on the
+    base grid refines and walks its own grid, its growth record included, as
+    soon as it is built.  The tiling of every level reads one orbit of 0."""
 
     def __init__(self, f: AnalyticCircleMap, chain: Sequence[tuple],
                  rho: float, var: float, grid: int, levels: Sequence[int],
@@ -162,55 +152,31 @@ class _LevelWalk:
         self.tiling = orbit_lift(f, 0.0, chain[top][0] + chain[top + 1][0])
         self.levels: dict = {}
         self.growth: dict = {}
-        self._denjoy: Optional[dict] = None
-        # growth samples by j, kept while a level still to be recorded reads
-        # them
-        self._samples: dict = {}
-        self._reads = {n: _growth_samples(chain[n + 1][0])
-                       for n in levels} if order else {}
-        marks = [(chain[n][0], self.BUILD, n) for n in levels]
-        for n, reads in self._reads.items():
-            marks += [(j, self.SAMPLE, n) for j in reads]
-            marks.append((chain[n + 1][0], self.RECORD, n))
-        self._marks = sorted(marks)
-        self._next = 0
-
-    def _pass(self, until: tuple):
-        """Walk through every mark up to and including `until`."""
-        while self._next < len(self._marks) and self._marks[self._next] <= until:
-            j, kind, n = self._marks[self._next]
-            self._next += 1
+        # marks (j, kind, n): at one j, kind 0 builds level n, 1 keeps a
+        # growth sample it reads and 2 records its growth, in that order
+        reads = {n: _growth_samples(chain[n + 1][0])
+                 for n in levels} if order else {}
+        marks = [(chain[n][0], 0, n) for n in levels]
+        for n, js in reads.items():
+            marks += [(j, 1, n) for j in js]
+            marks.append((chain[n + 1][0], 2, n))
+        samples: dict = {}
+        for j, kind, n in sorted(marks):
             self.walk.advance(j)
-            if kind == self.BUILD:
+            if kind == 0:
                 self.levels[n] = self._build(n)
-            elif kind == self.SAMPLE:
-                if j not in self._samples:
-                    self._samples[j] = np.abs(self.walk.d)
+            elif kind == 1:
+                if j not in samples:
+                    samples[j] = np.abs(self.walk.d)
             else:
                 if n not in self.growth:
                     self.growth[n] = _growth_record(
-                        n, self.order, self.levels[n], self._samples,
-                        self.walk.s1, self.walk.s2)
-                done = self._reads.pop(n)
-                still = set().union(*self._reads.values())
-                for j in set(done) - still:
-                    self._samples.pop(j, None)
-
-    def level(self, n: int) -> PartitionLevel:
-        self._pass((self.chain[n][0], self.BUILD, n))
-        return self.levels[n]
-
-    def growth_check(self, n: int) -> "GrowthCheck":
-        self._pass((self.chain[n + 1][0], self.RECORD, n))
-        return self.growth[n]
-
-    def denjoy(self, n: int) -> tuple[float, float]:
-        """Level n's refined max |ln Df^{q_n}| and witness; the searches of
-        all levels built so far run together on the first call."""
-        if self._denjoy is None:
-            self._denjoy = dict(zip(self.levels, _denjoy_maxima(
-                self.f, list(self.levels.values()))))
-        return self._denjoy[n]
+                        n, order, self.levels[n], samples, self.walk.s1,
+                        self.walk.s2)
+                done = reads.pop(n)
+                still = set().union(*reads.values())
+                for k in set(done) - still:
+                    samples.pop(k, None)
 
     def _build(self, n: int) -> PartitionLevel:
         q, p = self.chain[n]
@@ -243,22 +209,19 @@ class _LevelWalk:
             M=float(beta.max()) + margin, tiling_total=total,
             max_overlap=max_overlap, certified=certified)
         if self.order and walk is not self.walk:
-            self.growth[n] = _growth_walk(self.f, n, level, self.order)
+            self.growth[n] = derivative_growth_check(self.f, n, level,
+                                                     self.order)
         return level
 
 
 def build_partition(f: AnalyticCircleMap, n: int,
                     chain: Optional[Sequence[tuple]] = None,
                     rho: Optional[float] = None, grid: int = 4096, *,
-                    var: Optional[float] = None,
-                    _walk: Optional[_LevelWalk] = None) -> PartitionLevel:
+                    var: Optional[float] = None) -> PartitionLevel:
     """Level-n partition data: return-interval lengths over a grid with
     certified extrema and ln Df^{q_n} on the same grid, plus the tiling
     checks (total length 1 within 1e-9, pairwise-disjoint interiors) on the
-    orbit of x0 = 0.  Read off a q_n-step walk of the grid, or off the
-    report's shared walk `_walk` (see `geometry_report`)."""
-    if _walk is not None:
-        return _walk.level(n)
+    orbit of x0 = 0.  Read off a q_n-step walk of the grid."""
     if rho is None:
         rho = rho_interval(f, 1e-10).value
     if chain is None:
@@ -267,7 +230,7 @@ def build_partition(f: AnalyticCircleMap, n: int,
         raise ValueError(f"need the convergent chain through level {n + 1}, "
                          f"have {len(chain) - 1}")
     var = log_derivative_variation(f) if var is None else var
-    return _LevelWalk(f, chain, rho, var, grid, [n], 0).level(n)
+    return _LevelWalk(f, chain, rho, var, grid, [n], 0).levels[n]
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +294,21 @@ class DenjoyChecks:
     var: float
 
 
-def denjoy_checks(f: AnalyticCircleMap, n: int, level: PartitionLevel,
-                  var: Optional[float] = None, *,
-                  _walk: Optional[_LevelWalk] = None) -> DenjoyChecks:
-    """Classical distortion bound (must hold up to round-off) and the
-    empirical constant of its partition-refined sharpening, from the level's
-    ln Df^{q_n} grid; with the report's walk `_walk` the searches of all
-    its levels have run together."""
-    var = log_derivative_variation(f) if var is None else var
-    mx, wit = (_walk.denjoy(n) if _walk is not None
-               else _denjoy_maxima(f, [level])[0])
+def _denjoy_record(n: int, level: PartitionLevel, var: float,
+                   maximum: tuple[float, float]) -> DenjoyChecks:
+    mx, wit = maximum
     return DenjoyChecks(n=n, classical_residual=mx - var,
                         improved_constant=mx / math.sqrt(level.M),
                         witness=wit, var=var)
+
+
+def denjoy_checks(f: AnalyticCircleMap, n: int, level: PartitionLevel,
+                  var: Optional[float] = None) -> DenjoyChecks:
+    """Classical distortion bound (must hold up to round-off) and the
+    empirical constant of its partition-refined sharpening, from the level's
+    ln Df^{q_n} grid."""
+    var = log_derivative_variation(f) if var is None else var
+    return _denjoy_record(n, level, var, _denjoy_maxima(f, [level])[0])
 
 
 @dataclass(frozen=True)
@@ -357,19 +322,18 @@ class GrowthCheck:
 
 
 def derivative_growth_check(f: AnalyticCircleMap, n: int,
-                            level: PartitionLevel, order: int = 1, *,
-                            _walk: Optional[_LevelWalk] = None
+                            level: PartitionLevel, order: int = 1
                             ) -> GrowthCheck:
     """Empirical constants for the orbit-derivative growth bound
     |D^r ln Df^j| <= C (sqrt(M_n)/beta_n)^r at j in {1, q/3, 2q/3, q}, and
     for the disjoint-interval power sums sum_{i<q} (Df^i)^l <= C M^(l-1)/beta^l
-    at l = 1, 2 (q = q_{n+1}), from one q-step orbit walk over the grid, or
-    read off the report's walk `_walk` when it walks this order."""
+    at l = 1, 2 (q = q_{n+1}), from one q-step orbit walk over the grid."""
     if not 1 <= order <= 3:
         raise ValueError("order must be 1..3")
-    if _walk is not None and _walk.order == order:
-        return _walk.growth_check(n)
-    return _growth_walk(f, n, level, order)
+    walk = _Orbit(f, level.grid, order)
+    samples = {j: np.abs(walk.advance(j).d)
+               for j in _growth_samples(level.q_next)}
+    return _growth_record(n, order, level, samples, walk.s1, walk.s2)
 
 
 @dataclass(frozen=True)
@@ -553,33 +517,29 @@ def geometry_report(f: AnalyticCircleMap, n_max: int, smoothness: int = 3,
     tiling come from the orbit of x0 = 0.
 
     The grid is walked once, to q_{n_max+1} (to q_{n_max} with
-    checks=False, at order 0 and so outside the blow-up guard): every level,
-    its Denjoy grid and its growth record are read off that one orbit as it
-    passes their marks, the Denjoy searches of all levels run together, and
-    one orbit of 0 serves every tiling.  `build_partition`, `denjoy_checks`
-    and `derivative_growth_check` read the shared walk and return what they
-    return standalone."""
+    checks=False, at order 0 and so outside the blow-up guard), and the
+    report reads that walk directly: every level, its Denjoy grid and its
+    growth record come off the one orbit as it passes their marks, the
+    Denjoy searches of all levels run together, and one orbit of 0 serves
+    every tiling.  The results are those of `build_partition`,
+    `denjoy_checks` and `derivative_growth_check` (order 1), each of which
+    walks its own orbit when called alone."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rho = rho_interval(f, 1e-10).value
     chain = pq_chain(rho, n_max + 1)
     var = log_derivative_variation(f)
-    walk = _LevelWalk(f, chain, rho, var, grid, range(1, n_max + 1),
-                      1 if checks else 0)
-    rep = GeometryReport(rho=rho, smoothness=smoothness)
-    for n in range(1, n_max + 1):
-        lev = build_partition(f, n, chain=chain, rho=rho, grid=grid, var=var,
-                              _walk=walk)
-        rep.levels.append(lev)
-        rep.ratios.append(lev.ratio)
+    ns = range(1, n_max + 1)
+    walk = _LevelWalk(f, chain, rho, var, grid, ns, 1 if checks else 0)
+    levels = [walk.levels[n] for n in ns]
+    ratios = [lev.ratio for lev in levels]
+    rep = GeometryReport(levels=levels, rho=rho, ratios=ratios,
+                         trend=ratio_trend(ratios), smoothness=smoothness)
     if checks:
-        for lev in rep.levels:
-            rep.denjoy.append(denjoy_checks(f, lev.n, lev, var=var,
-                                            _walk=walk))
-            rep.growth.append(derivative_growth_check(f, lev.n, lev, order=1,
-                                                      _walk=walk))
-        for lev_n, lev_n1 in zip(rep.levels, rep.levels[1:]):
-            rep.beta_rec.append(beta_recursion_check(
-                f, lev_n.n, lev_n, lev_n1, smoothness))
-    rep.trend = ratio_trend(rep.ratios)
+        rep.denjoy = [_denjoy_record(lev.n, lev, var, top) for lev, top
+                      in zip(levels, _denjoy_maxima(f, levels))]
+        rep.growth = [walk.growth[n] for n in ns]
+        rep.beta_rec = [beta_recursion_check(f, lev_n.n, lev_n, lev_n1,
+                                             smoothness)
+                        for lev_n, lev_n1 in zip(levels, levels[1:])]
     return rep

@@ -28,10 +28,9 @@ from .circlemap import (AnalyticCircleMap, _Orbit, compose_project,
 from .contfrac import ContinuedFraction
 from .errors import (ConjugacyNotDiffeo, NotDiffeomorphism, NotMonotone,
                      Resonance, SmallDivisor)
-from .rotation import rho_interval
+from .rotation import _certified_rho, rho_interval
 
 TWO_PI = 2.0 * math.pi
-_ALIAS_TOL = 1e-4  # alias flag: tail energy above this share of the retained
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, out_degree: int,
     except NotDiffeomorphism as e:
         raise ConjugacyNotDiffeo(f"correction too large for a step: {e}") from e
     try:
-        conj = conjugate_project(h, f, out_degree, _ALIAS_TOL)
+        conj = conjugate_project(h, f, out_degree)
     except NotDiffeomorphism as e:
         raise ConjugacyNotDiffeo(f"conjugated map failed validation: {e}") from e
     rec = StepRecord(
@@ -275,8 +274,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
             break
         trace.steps.append(step.record)
         comp = compose_project(step.h, h_total,
-                               max(step.h.degree + h_total.degree, 8),
-                               _ALIAS_TOL)
+                               max(step.h.degree + h_total.degree, 8))
         h_total = comp.map
         f_n = step.f_next
     if verdict is None:
@@ -381,8 +379,7 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
     h_vals /= n
     dh /= n
     if rho is None:
-        eps = 1e-12 if f.degree == 0 else 1e-10
-        rho = rho_interval(f, eps).value
+        rho = _certified_rho(f)
     defect = float(np.max(np.abs((orb.advance(n).x - x) / n - rho)))
     if float(dh.min()) <= 1e-12:
         raise NotMonotone(f"averaged conjugacy has min slope {dh.min():.3e}")

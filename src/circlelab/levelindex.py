@@ -152,7 +152,7 @@ class LevelReal:
         r = other.ratio_to(self)
         if r >= 1.0 - 1e-15:
             return ZERO
-        return self.log().add_float(math.log1p(-r)).exp()
+        return self._mul_exp(math.log1p(-r))
 
     def scale(self, c: float) -> "LevelReal":
         """self * c for a float c > 0."""
@@ -160,7 +160,15 @@ class LevelReal:
             raise ValueError("scale factor must be positive")
         if self.level == 0:
             return LevelReal.from_float(self.m * c)
-        return self.log().add_float(math.log(c)).exp()
+        return self._mul_exp(math.log(c))
+
+    def _mul_exp(self, t: float) -> "LevelReal":
+        """self * e^t at level >= 1.  A level-1 value fits a float, so a
+        result below 1 is exp(m + t) itself; its log is negative, which
+        `add_float` would clamp at 0."""
+        if self.level == 1 and self.m + t < 0.0:
+            return LevelReal.from_float(math.exp(self.m + t))
+        return self.log().add_float(t).exp()
 
     def mul_exp_neg(self, L: "LevelReal") -> "LevelReal":
         """self * e^{-L} for L >= 0."""

@@ -524,11 +524,16 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10
     raise TargetUnreachable("no certified parameter within the iteration cap")
 
 
+def _certified_rho(f: AnalyticCircleMap) -> float:
+    """rho(f) from a bracket narrower than 1e-12 for a rotation, which
+    certifies cheaply, and than 1e-10 for any other map."""
+    return rho_interval(f, 1e-12 if f.degree == 0 else 1e-10).value
+
+
 def eq_rot_check(f: AnalyticCircleMap, n: int) -> float:
     """Residual between the orbit-averaged displacement from x0 = 0 (the
     unique-ergodicity estimate of the invariant-measure displacement
     integral) and the certified rotation number."""
     avg = rotation_number_birkhoff(f, 0.0, n).value
-    eps = 1e-12 if f.degree == 0 else 1e-10  # rotations certify cheaply
-    d = abs(avg - rho_interval(f, eps).value)
+    d = abs(avg - _certified_rho(f))
     return min(d, 1.0 - d)

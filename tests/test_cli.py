@@ -217,6 +217,24 @@ def test_validate_types_every_key_a_runner_reads(cmd, section, key, value):
     assert any(v.startswith(f"{section}.{key}: expected") for v in bad)
 
 
+@pytest.mark.parametrize("cmd,section,key,value,least", [
+    ("rotnum", "rotnum", "n", 0, 1),
+    ("rotnum", "rotnum", "depth", 0, 1),
+    ("rotnum", "rotnum", "n_max", 0, 1),
+    ("rotnum", "rotnum", "burn_in", -5, 0),
+    ("tongue-scan", "scan", "n_max", 0, 1),
+    ("tongue-scan", "scan", "burn_in", -5, 0),
+    ("geometry", "geometry", "n_max", 0, 1),
+    ("geometry", "geometry", "grid", 0, 1),
+])
+def test_validate_bounds_every_count_a_runner_rejects(cmd, section, key, value,
+                                                      least):
+    cfg = {"target": GOLDEN_CF,
+           "map": {"family": {"kind": "arnold", "a": 0.61, "b": 0.3}},
+           section: {key: value}}
+    assert f"{section}.{key}: must be >= {least}" in validate_config(cmd, cfg)
+
+
 @pytest.mark.parametrize("cmd", ["kam", "geometry"])
 def test_validate_needs_map_or_family(cmd):
     bad = validate_config(cmd, {"target": GOLDEN_CF})

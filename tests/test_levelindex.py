@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circlelab.levelindex import CAP, ONE, ZERO, LevelReal
@@ -83,6 +83,7 @@ def test_add_against_mpmath(ma, ea, mb, eb):
 
 
 @given(st.floats(min_value=0.5, max_value=600.0), st.floats(min_value=0.0, max_value=600.0))
+@example(a=512.0, b=511.5)
 def test_diff_against_floats(a, b):
     hi, lo = max(a, b), min(a, b)
     d = LevelReal.from_float(hi).diff(LevelReal.from_float(lo))
@@ -99,6 +100,19 @@ def test_scale_matches(c, x):
 def test_mul_exp_neg_matches(x, ell):
     got = LevelReal.from_float(x).mul_exp_neg(LevelReal.from_float(ell)).to_float()
     assert got == pytest.approx(x * math.exp(-ell), rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("x, c", [(600.0, 1e-3), (1e5, 2e-6), (1e200, 1e-201)])
+def test_scale_below_one_from_level_one(x, c):
+    got = LevelReal.from_float(x).scale(c).to_float()
+    assert got == pytest.approx(x * c, rel=1e-11)
+
+
+@pytest.mark.parametrize("ln_x, ell", [(600.0, 599.5), (550.0, 549.9)])
+def test_mul_exp_neg_below_e_from_level_two(ln_x, ell):
+    x = LevelReal.from_float(ln_x).exp()
+    got = x.mul_exp_neg(LevelReal.from_float(ell)).to_float()
+    assert got == pytest.approx(math.exp(ln_x - ell), rel=1e-9)
 
 
 def test_mul_exp_neg_huge_cases():
