@@ -18,7 +18,7 @@ below ~1e-290 (underflowed correction terms) are absorbed by the guard bands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -44,11 +44,6 @@ class DiophantineEstimate:
     attained_at: int
     certified: bool
     values: tuple = field(repr=False, default=())
-
-    def to_json(self) -> dict:
-        return {"sigma": self.sigma, "depth": self.depth,
-                "gamma_hat": self.gamma_hat, "attained_at": self.attained_at,
-                "certified": self.certified, "values": list(self.values)}
 
 
 def diophantine_estimate(cf: ContinuedFraction, sigma: float,
@@ -114,10 +109,6 @@ class BrjunoSumResult:
     diverging: bool
     depth: int
     terms: tuple = field(repr=False, default=())
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "diverging": self.diverging,
-                "depth": self.depth, "terms": list(self.terms)}
 
 
 def brjuno_sum(cf: ContinuedFraction, depth: int, window: int = 3,
@@ -265,13 +256,6 @@ class ConditionHVerdict:
     fail_m: Optional[int]
     probes: tuple = field(repr=False, default=())
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "m_max": self.m_max, "k_max": self.k_max,
-                "b_depth": self.b_depth, "fail_m": self.fail_m,
-                "probes": [{"m": p.m, "passed_at": p.passed_at,
-                            "certified_below": p.certified_below}
-                           for p in self.probes]}
-
 
 def condition_h_check(cf: ContinuedFraction, m_max: int, k_max: int,
                       b_depth: int, b_cap: float = 50.0) -> ConditionHVerdict:
@@ -346,11 +330,6 @@ class ClassifyConfig:
     h_b_depth: int = 40
     b_cap: float = 50.0
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "sigma", "diophantine_depth", "brjuno_depth", "divergence_window",
-            "divergence_threshold", "h_m_max", "h_k_max", "h_b_depth", "b_cap")}
-
 
 @dataclass(frozen=True)
 class ArithmeticVerdict:
@@ -362,13 +341,10 @@ class ArithmeticVerdict:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {"diophantine": self.diophantine.to_json(),
-                "brjuno_sum": self.brjuno.to_json(),
-                "brjuno_B": self.brjuno_B,
-                "condition_h": None if self.condition_h is None
-                else self.condition_h.to_json(),
-                "config": self.config.to_json(),
-                "note": self.note}
+        """Every field, nested records included; `brjuno` is `brjuno_sum`."""
+        out = asdict(self)
+        out["brjuno_sum"] = out.pop("brjuno")
+        return out
 
 
 def classify(cf: ContinuedFraction,

@@ -400,15 +400,10 @@ class ArnoldFamily:
             raise NotDiffeomorphism(f"|b| = {abs(self.b)} >= 1: Df vanishes")
 
     def map_at(self, a: float) -> AnalyticCircleMap:
-        if self.b == 0.0:
-            return AnalyticCircleMap(a)
         return AnalyticCircleMap(a, np.array([-1j * self.b / (4.0 * math.pi)]))
 
     def displacement_bound(self) -> float:
         return abs(self.b) / TWO_PI
-
-    def to_json(self, a: float) -> dict:
-        return {"family": {"kind": "arnold", "a": a, "b": self.b}}
 
 
 @dataclass(frozen=True)

@@ -34,17 +34,13 @@ from .errors import (CircleLabError, DerivativeBlowup, NotBrjuno,
                      NotDiffeomorphism, PeriodicOrbitDetected, RationalDetected,
                      TargetUnreachable, TilingFailure)
 from .geometry import bootstrap_schedule, geometry_report
-from .kam import KamConfig, kam_iterate
+from .kam import KamConfig, _fmt, kam_iterate
 from .rotation import (closest_return_batch, rotation_number_birkhoff,
                        rotation_number_closest_return, tune_parameter)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NEGATIVE = 2
-
-
-def _fmt(v) -> str:
-    return str(int(v)) if isinstance(v, int) else format(float(v), ".17g")
 
 
 def _splitmix01(seed: int, idx: int) -> float:
@@ -59,6 +55,7 @@ def _splitmix01(seed: int, idx: int) -> float:
 
 _F = (float, int)  # a float key also accepts an int
 _CAST = {_F: float, int: int, list: tuple}
+_TUNE_TOL = {"tune_tol": (_F, 1e-11)}  # the tol a configured family is tuned to
 
 
 def _lib(owner, **types) -> dict:
@@ -69,53 +66,52 @@ def _lib(owner, **types) -> dict:
 
 class _Spec(NamedTuple):
     help: str
+    out: str        # the JSON file a run writes
     need: tuple     # required top-level sections; "a|b" is met by either
     section: str    # the config section holding the keys
     keys: dict      # key -> (accepted types, default)
     flags: dict     # override flag -> key
+    lower: dict = {}  # count key -> the least value a run accepts
 
 
 _SPECS = {
     "classify": _Spec(
-        "arithmetic verdict for a number", ("target",), "classify",
+        "arithmetic verdict for a number", "classify.json", ("target",), "classify",
         _lib(ClassifyConfig, sigma=_F, diophantine_depth=int, brjuno_depth=int,
              h_m_max=int, h_k_max=int, h_b_depth=int, b_cap=_F),
         {"depth": "diophantine_depth", "sigma": "sigma"}),
     "rotnum": _Spec(
-        "both rotation-number estimators", ("map",), "rotnum",
+        "both rotation-number estimators", "rotnum.json", ("map",), "rotnum",
         {**_lib(rotation_number_birkhoff, x0=_F, n=int), **_lib(
             rotation_number_closest_return, depth=int, n_max=int, burn_in=int)},
-        {"nmax": "n_max", "depth": "depth"}),
+        {"nmax": "n_max", "depth": "depth"},
+        {"n": 1, "depth": 1, "n_max": 1, "burn_in": 0}),
     "tune": _Spec(
-        "family parameter to a target number", ("family", "target"), "tune",
-        _lib(tune_parameter, tol=_F), {"tol": "tol"}),
+        "family parameter to a target number", "tune.json", ("family", "target"),
+        "tune", _lib(tune_parameter, tol=_F), {"tol": "tol"}),
     "kam": _Spec(
-        "full linearization run: trace + verdict", ("target", "map|family"), "kam",
+        "full linearization run: trace + verdict", "kam.json",
+        ("target", "map|family"), "kam",
         {**_lib(KamConfig, nu0=_F, max_steps=int, divisor_floor=_F, threshold=_F,
-                base_truncation=int, truncations=list, strips=list),
-         "tune_tol": (_F, 1e-11)},
+                base_truncation=int, truncations=list, strips=list), **_TUNE_TOL},
         {"tol": "tune_tol", "nu0": "nu0"}),
     "geometry": _Spec(
-        "multi-level partition report", ("map|family", "map|target"), "geometry",
+        "multi-level partition report", "geometry.json",
+        ("map|family", "map|target"), "geometry",
         {"n_max": (int, 6), **_lib(geometry_report, grid=int, smoothness=int),
-         "tune_tol": (_F, 1e-11)},
-        {"nmax": "n_max"}),
+         **_TUNE_TOL},
+        {"nmax": "n_max"}, {"n_max": 1, "grid": 1}),
     "tongue-scan": _Spec(
-        "rho over an (a, b) grid", (), "scan",
+        "rho over an (a, b) grid", "tongues.json", (), "scan",
         {"a_min": (_F, 0.0), "a_max": (_F, 1.0), "na": (int, 50),
          "b_min": (_F, 0.0), "b_max": (_F, 0.95), "nb": (int, 20),
-         "n_max": (int, 400), "burn_in": (int, 256)}, {"nmax": "n_max"}),
+         "n_max": (int, 400), "burn_in": (int, 256)}, {"nmax": "n_max"},
+        {"n_max": 1, "burn_in": 0}),
     "bootstrap": _Spec(
-        "regularity bootstrap schedule", (), "bootstrap",
+        "regularity bootstrap schedule", "bootstrap.json", (), "bootstrap",
         {"r": (_F, 5.0), "sigma": (_F, 0.0), "gamma0": (_F, 0.0), "steps": (int, 60)},
         {}),
 }
-
-
-# the least value of each count a run accepts, by config section
-_LOWER = {"rotnum": {"n": 1, "depth": 1, "n_max": 1, "burn_in": 0},
-          "scan": {"n_max": 1, "burn_in": 0},
-          "geometry": {"n_max": 1, "grid": 1}}
 
 
 def _resolve(spec: _Spec, cfg: dict) -> dict:
@@ -168,7 +164,7 @@ def validate_config(subcommand: str, cfg: dict) -> list[str]:
         return out  # the cross-field checks below need well-typed values
     s = _resolve(spec, cfg)
     out += [f"{spec.section}.{k}: must be >= {lo}"
-            for k, lo in _LOWER.get(spec.section, {}).items() if s[k] < lo]
+            for k, lo in spec.lower.items() if s[k] < lo]
     if subcommand == "kam":
         try:  # violations() reads only the schedules, not the target
             out.extend(f"kam: {v}" for v in _kam_config(s).violations())
@@ -186,7 +182,7 @@ def validate_config(subcommand: str, cfg: dict) -> list[str]:
 
 # -- subcommand runners ------------------------------------------------------
 # each takes the raw config, its resolved section and the parsed arguments,
-# and returns (exit code, JSON file name, payload)
+# and returns (exit code, payload); `main` writes the negative stops they raise
 
 def _map(cfg: dict, tune_tol: float):
     """The configured map, or the family member tuned to the target."""
@@ -218,22 +214,18 @@ def run_classify(cfg: dict, c: dict, args) -> tuple:
         verdict = classify(target, ClassifyConfig(**c))
     except RationalDetected:  # a finite fraction is its last convergent
         p, q = target.convergent(len(target.to_json()["quotients"]))
-        return EXIT_NEGATIVE, "classify.json", {"rational": {"p": p, "q": q}}
+        return EXIT_NEGATIVE, {"rational": {"p": p, "q": q}}
     h = verdict.condition_h
     negative = verdict.brjuno.diverging or (h is not None and h.kind == "fail_at")
-    return (EXIT_NEGATIVE if negative else EXIT_OK, "classify.json",
-            {"verdict": verdict.to_json()})
+    return EXIT_NEGATIVE if negative else EXIT_OK, {"verdict": verdict.to_json()}
 
 
 def run_rotnum(cfg: dict, r: dict, args) -> tuple:
     f = map_from_json(cfg["map"])
-    try:
-        bk = rotation_number_birkhoff(f, r["x0"], r["n"])
-        cr = rotation_number_closest_return(f, r["x0"], r["depth"], r["n_max"],
-                                            burn_in=r["burn_in"])
-    except PeriodicOrbitDetected as po:
-        return EXIT_NEGATIVE, "rotnum.json", _negative(po)
-    return EXIT_OK, "rotnum.json", {
+    bk = rotation_number_birkhoff(f, r["x0"], r["n"])
+    cr = rotation_number_closest_return(f, r["x0"], r["depth"], r["n_max"],
+                                        burn_in=r["burn_in"])
+    return EXIT_OK, {
         "birkhoff": {"value": bk.value, "error_bound": bk.error_bound, "n": bk.n},
         "closest_return": {"value": cr.value, "error_bound": cr.error_bound,
                            "n": cr.n, "method": cr.method,
@@ -241,42 +233,32 @@ def run_rotnum(cfg: dict, r: dict, args) -> tuple:
 
 
 def run_tune(cfg: dict, t: dict, args) -> tuple:
-    try:
-        a, est = tune_parameter(family_from_json(cfg["family"]),
-                                ContinuedFraction.from_json(cfg["target"]),
-                                tol=t["tol"])
-    except TargetUnreachable as e:
-        return EXIT_NEGATIVE, "tune.json", _negative(e)
-    return EXIT_OK, "tune.json", {
+    a, est = tune_parameter(family_from_json(cfg["family"]),
+                            ContinuedFraction.from_json(cfg["target"]),
+                            tol=t["tol"])
+    return EXIT_OK, {
         "a": a, "rho": est.value, "error_bound": est.error_bound,
         "quotients": list(est.extracted_quotients or ())}
 
 
 def run_kam(cfg: dict, k: dict, args) -> tuple:
     conf = _kam_config(k, ContinuedFraction.from_json(cfg["target"]))
-    try:
-        res = kam_iterate(_map(cfg, k["tune_tol"]), conf)
-    except (PeriodicOrbitDetected, TargetUnreachable) as e:
-        return EXIT_NEGATIVE, "kam.json", _negative(e)
+    res = kam_iterate(_map(cfg, k["tune_tol"]), conf)
     (args.out / "kam_trace.csv").write_text(res.trace.to_csv())
     # the strip schedule the run used, whether configured or defaulted
     strips = [conf.nu_at(n) for n in range(conf.max_steps + 1)]
     t = res.trace
-    return (EXIT_OK if res.verdict == "linearized" else EXIT_NEGATIVE, "kam.json",
+    return (EXIT_OK if res.verdict == "linearized" else EXIT_NEGATIVE,
             {"verdict": res.verdict, "note": t.note, "defect": t.defect,
              "decay_exponent": t.decay_exponent, "steps": len(t.steps),
              "resolved": {**k, "strips": strips}})
 
 
 def run_geometry(cfg: dict, g: dict, args) -> tuple:
-    try:
-        rep = geometry_report(_map(cfg, g["tune_tol"]), n_max=g["n_max"],
-                              smoothness=g["smoothness"], grid=g["grid"])
-    except (PeriodicOrbitDetected, TargetUnreachable, DerivativeBlowup,
-            TilingFailure) as e:
-        return EXIT_NEGATIVE, "geometry.json", _negative(e)
+    rep = geometry_report(_map(cfg, g["tune_tol"]), n_max=g["n_max"],
+                          smoothness=g["smoothness"], grid=g["grid"])
     (args.out / "geometry.csv").write_text(rep.to_csv())
-    return EXIT_OK, "geometry.json", rep.to_json_summary()
+    return EXIT_OK, rep.to_json_summary()
 
 
 def _tongue_cell(cells: list, n_max: int, burn_in: int) -> list:
@@ -313,15 +295,15 @@ def run_tongue_scan(cfg: dict, s: dict, args) -> tuple:
     (args.out / "tongues.csv").write_text("\n".join(lines) + "\n")
     methods = {m: sum(r[7] == m for r in rows)
                for m in ("closest_return", "birkhoff", "locked")}
-    return EXIT_OK, "tongues.json", {"cells": len(rows), "workers": workers,
-                                     "seed": args.seed, "methods": methods}
+    return EXIT_OK, {"cells": len(rows), "workers": workers, "seed": args.seed,
+                     "methods": methods}
 
 
 def run_bootstrap(cfg: dict, b: dict, args) -> tuple:
     sched = bootstrap_schedule(**b)
     lines = ["k,gamma"] + [f"{k},{_fmt(g)}" for k, g in enumerate(sched)]
     (args.out / "bootstrap.csv").write_text("\n".join(lines) + "\n")
-    return EXIT_OK, "bootstrap.json", {"limit": sched[-1], "steps": len(sched) - 1}
+    return EXIT_OK, {"limit": sched[-1], "steps": len(sched) - 1}
 
 
 # -- argument plumbing -------------------------------------------------------
@@ -378,12 +360,15 @@ def main(argv=None) -> int:
            "kam": run_kam, "geometry": run_geometry,
            "tongue-scan": run_tongue_scan, "bootstrap": run_bootstrap}[args.cmd]
     try:
-        code, name, payload = run(cfg, resolved, args)
+        code, payload = run(cfg, resolved, args)
+    except (PeriodicOrbitDetected, TargetUnreachable, DerivativeBlowup,
+            TilingFailure) as e:
+        code, payload = EXIT_NEGATIVE, _negative(e)
     except (CircleLabError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_NEGATIVE if isinstance(e, NotBrjuno) else EXIT_ERROR
     payload = {"config": cfg, "resolved": resolved, **payload}
-    (args.out / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (args.out / spec.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return code
 
 

@@ -216,8 +216,7 @@ class _LevelWalk:
 
 def build_partition(f: AnalyticCircleMap, n: int,
                     chain: Optional[Sequence[tuple]] = None,
-                    rho: Optional[float] = None, grid: int = 4096, *,
-                    var: Optional[float] = None) -> PartitionLevel:
+                    rho: Optional[float] = None, grid: int = 4096) -> PartitionLevel:
     """Level-n partition data: return-interval lengths over a grid with
     certified extrema and ln Df^{q_n} on the same grid, plus the tiling
     checks (total length 1 within 1e-9, pairwise-disjoint interiors) on the
@@ -229,8 +228,8 @@ def build_partition(f: AnalyticCircleMap, n: int,
     if len(chain) < n + 2:
         raise ValueError(f"need the convergent chain through level {n + 1}, "
                          f"have {len(chain) - 1}")
-    var = log_derivative_variation(f) if var is None else var
-    return _LevelWalk(f, chain, rho, var, grid, [n], 0).levels[n]
+    return _LevelWalk(f, chain, rho, log_derivative_variation(f), grid, [n],
+                      0).levels[n]
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +301,13 @@ def _denjoy_record(n: int, level: PartitionLevel, var: float,
                         witness=wit, var=var)
 
 
-def denjoy_checks(f: AnalyticCircleMap, n: int, level: PartitionLevel,
-                  var: Optional[float] = None) -> DenjoyChecks:
+def denjoy_checks(f: AnalyticCircleMap, n: int,
+                  level: PartitionLevel) -> DenjoyChecks:
     """Classical distortion bound (must hold up to round-off) and the
     empirical constant of its partition-refined sharpening, from the level's
     ln Df^{q_n} grid."""
-    var = log_derivative_variation(f) if var is None else var
-    return _denjoy_record(n, level, var, _denjoy_maxima(f, [level])[0])
+    return _denjoy_record(n, level, log_derivative_variation(f),
+                          _denjoy_maxima(f, [level])[0])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -100,10 +100,6 @@ class StepRecord:
     tail_energy: float   # spectral energy discarded by the projection
     min_divisor: float   # smallest divisor magnitude used this step
 
-    def as_row(self) -> list:
-        return [self.step, self.norm_v, self.norm_w, self.mean_shift,
-                self.tail_energy, self.min_divisor]
-
 
 @dataclass
 class KamTrace:
@@ -115,24 +111,21 @@ class KamTrace:
     quad_constant: float = math.nan       # max norm_{n+1} / norm_n^1.5
     mean_shift_constant: float = math.nan  # max |v_hat(0)| / norm_v^2
 
-    CSV_HEADER = "step,norm_v,norm_w,mean_shift,tail_energy,min_divisor"
+    CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 
     def to_csv(self) -> str:
+        """One row per step, then a `# ` JSON footer of every other field."""
         lines = [self.CSV_HEADER]
-        for s in self.steps:
-            lines.append(",".join(_fmt17(v) for v in s.as_row()))
-        footer = {"verdict": self.verdict, "note": self.note,
-                  "defect": self.defect, "decay_exponent": self.decay_exponent,
-                  "quad_constant": self.quad_constant,
-                  "mean_shift_constant": self.mean_shift_constant}
+        lines += [",".join(map(_fmt, astuple(s))) for s in self.steps]
+        footer = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name != "steps"}
         lines.append("# " + json.dumps(footer))
         return "\n".join(lines) + "\n"
 
 
-def _fmt17(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return format(float(v), ".17g")
+def _fmt(v) -> str:
+    """A CSV cell: an int (a bool as 0 or 1), else a float to 17 digits."""
+    return str(int(v)) if isinstance(v, int) else format(float(v), ".17g")
 
 
 # ---------------------------------------------------------------------------

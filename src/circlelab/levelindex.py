@@ -163,12 +163,13 @@ class LevelReal:
         return self._mul_exp(math.log(c))
 
     def _mul_exp(self, t: float) -> "LevelReal":
-        """self * e^t at level >= 1.  A level-1 value fits a float, so a
-        result below 1 is exp(m + t) itself; its log is negative, which
-        `add_float` would clamp at 0."""
-        if self.level == 1 and self.m + t < 0.0:
-            return LevelReal.from_float(math.exp(self.m + t))
-        return self.log().add_float(t).exp()
+        """self * e^t at level >= 1.  A result below 1 has a negative log,
+        which `add_float` would clamp at 0; ln(self) + t < 0 needs a finite
+        ln(self), so the result is exp(ln(self) + t) itself."""
+        ln = self.log()
+        if ln.to_float() + t < 0.0:
+            return LevelReal.from_float(math.exp(ln.to_float() + t))
+        return ln.add_float(t).exp()
 
     def mul_exp_neg(self, L: "LevelReal") -> "LevelReal":
         """self * e^{-L} for L >= 0."""

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -472,6 +473,24 @@ def _probe(f: AnalyticCircleMap, alpha: float,
     return dev, None
 
 
+def _farey_width(alpha: float, n: int) -> float:
+    """Width, rounded as `_ReturnScan.width` rounds it, of the narrowest
+    p/q < alpha < p'/q' with q, q' <= n: the last convergent of the float
+    alpha and its largest semiconvergent within n (0 if alpha is a p/q)."""
+    x = Fraction(alpha)
+    p0, q0, p1, q1 = 0, 1, 1, 0  # the convergents k - 2 and k - 1
+    while True:
+        a = math.floor(x)
+        if a * q1 + q0 > n:
+            j = (n - q0) // q1
+            lo, hi = sorted((p1 / q1, (j * p1 + p0) / (j * q1 + q0)))
+            return hi - lo
+        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+        if x == a:
+            return 0.0
+        x = 1 / (x - a)
+
+
 def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10
                    ) -> tuple[float, RotationEstimate]:
     """Find the family parameter whose rotation number certifies within tol
@@ -483,6 +502,8 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10
     target on one side or bracket it within tol/2; the first probe whose
     two-sided bracket holds the target is the certificate, and its estimate
     (the one rho_interval(map, tol/2) would return) is returned as it is.
+    A target whose Farey neighbours within the orbit cap lie more than tol/2
+    apart can have no such bracket: TargetUnreachable before any probe.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -492,6 +513,10 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10
     if thi - tlo > tol / 10.0:
         raise ValueError("target value bracket is wider than tol/10")
     alpha = 0.5 * (tlo + thi)
+    width = _farey_width(alpha, _N_CAP)
+    if width > tol / 2:
+        raise TargetUnreachable(f"no bracket of returns within {_N_CAP} steps "
+                                f"is narrower than {width:.3g}, above tol/2")
     pad = family.displacement_bound() + 1e-3
     lo, hi = alpha - pad, alpha + pad
     a = alpha

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -301,3 +303,21 @@ def test_verdict_serializes():
     blob = v.to_json()
     assert blob["condition_h"]["kind"] == "pass_to_depth"
     assert blob["diophantine"]["certified"] is True
+
+
+def _record(r):
+    """Every field of a record, nested records and tuples of them too."""
+    if is_dataclass(r):
+        return {f.name: _record(getattr(r, f.name)) for f in fields(r)}
+    return [_record(x) for x in r] if isinstance(r, tuple) else r
+
+
+@pytest.mark.parametrize("cf", [
+    ContinuedFraction.golden(),
+    ContinuedFraction.rule("exp_round", a1=3),
+    ContinuedFraction.rule("exp_qn_round", a1=2)], ids=["golden", "fail_at", "tower"])
+def test_verdict_json_holds_every_field_of_every_record(cf):
+    v = classify(cf)
+    want = _record(v)
+    want["brjuno_sum"] = want.pop("brjuno")
+    assert json.loads(json.dumps(v.to_json())) == want

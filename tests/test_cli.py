@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,17 @@ def test_unreachable_target_ends_unreachable(tmp_path, monkeypatch, cmd):
     out = json.loads((tmp_path / f"{cmd}.json").read_text())
     assert out["unreachable"] == "parameter bracket collapsed before certification"
     assert out["resolved"]["tune_tol"] == 1e-11
+
+
+def test_kam_on_an_unbracketable_target_ends_before_any_probe(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "target": EXP_ROUND_CF, "family": {"kind": "arnold", "b": 0.3}})
+    start = time.perf_counter()
+    assert main(["kam", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    out = json.loads((tmp_path / "kam.json").read_text())
+    assert "narrower than 1.54e-09, above tol/2" in out["unreachable"]
+    assert not (tmp_path / "kam_trace.csv").exists()
 
 
 @pytest.mark.parametrize("error, block", [

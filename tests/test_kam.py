@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from circlelab.errors import ConjugacyNotDiffeo, Resonance, SmallDivisor
 from circlelab.kam import (HermanResult, KamConfig, herman_average,
                            kam_iterate, kam_step, linearization_defect,
                            solve_homological)
+from circlelab.kam import KamTrace, StepRecord
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RNG = np.random.default_rng(2026)
@@ -173,6 +175,22 @@ def test_trace_csv_round_trip(arnold_b005_golden):
     assert len(lines) == len(res.trace.steps) + 2
     footer = json.loads(lines[-1].lstrip("# "))
     assert footer["verdict"] == "linearized"
+
+
+def test_trace_csv_writes_every_field():
+    steps = [StepRecord(0, 0.1, 0.2, 1e-3, 2.5e-20, 0.3),
+             StepRecord(1, 1 / 3, 1e-7, 0.0, 7e-30, math.pi / 10)]
+    trace = KamTrace(steps, verdict="diverged", note="a note", defect=1e-12,
+                     decay_exponent=1.25, quad_constant=2.0,
+                     mean_shift_constant=17.5)
+    lines = trace.to_csv().split("\n")
+    assert lines[0].split(",") == [f.name for f in fields(StepRecord)]
+    assert [tuple(float(v) for v in row.split(",")) for row in lines[1:3]] == \
+        [astuple(s) for s in steps]
+    assert lines[3].startswith("# ") and lines[4:] == [""]
+    assert list(json.loads(lines[3][2:]).items()) == [
+        (f.name, getattr(trace, f.name)) for f in fields(KamTrace)
+        if f.name != "steps"]
 
 
 def test_trace_quadratic_budget_holds_with_recorded_constant(arnold_b005_golden):

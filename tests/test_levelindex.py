@@ -108,6 +108,13 @@ def test_scale_below_one_from_level_one(x, c):
     assert got == pytest.approx(x * c, rel=1e-11)
 
 
+@pytest.mark.parametrize("ln_x, c", [(600.0, 1e-300), (600.0, 1e-261),
+                                     (700.0, 1e-305)])
+def test_scale_below_one_from_level_two(ln_x, c):
+    got = LevelReal.from_float(ln_x).exp().scale(c).to_float()
+    assert got == pytest.approx(math.exp(ln_x + math.log(c)), rel=1e-11)
+
+
 @pytest.mark.parametrize("ln_x, ell", [(600.0, 599.5), (550.0, 549.9)])
 def test_mul_exp_neg_below_e_from_level_two(ln_x, ell):
     x = LevelReal.from_float(ln_x).exp()

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from circlelab.rotation import (RATIONAL_TOL, _estimate_from, _ReturnScan,
                                 quotients_from_returns, rho_interval,
                                 rotation_number_birkhoff,
                                 rotation_number_closest_return, tune_parameter)
+from circlelab.rotation import _N_CAP, _farey_width
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -107,6 +109,28 @@ def test_tune_unreachable_target():
 
     with pytest.raises(TargetUnreachable):
         tune_parameter(Shifted(), ContinuedFraction.golden(), tol=1e-8)
+
+
+def test_farey_width_is_the_narrowest_bracket():
+    rng = random.Random(5)
+    for _ in range(200):
+        alpha, n = rng.uniform(0.0, 3.0), rng.randint(1, 80)
+        x = Fraction(alpha)
+        lo = max(Fraction(math.floor(x * q), q) for q in range(1, n + 1))
+        hi = min(Fraction(math.floor(x * q) + 1, q) for q in range(1, n + 1))
+        assert _farey_width(alpha, n) == float(hi) - float(lo)
+    assert _farey_width(0.375, 8) == 0.0
+
+
+def test_tune_names_a_target_no_scan_can_bracket():
+    # the Farey neighbours of exp_round (a1 = 1) with q <= _N_CAP lie
+    # 1.54e-9 apart, so no probe can certify it at tol 1e-9
+    cf = ContinuedFraction.from_json(
+        {"quotients": [1], "tail": {"kind": "rule", "name": "exp_round", "a1": 1}})
+    lo, hi = cf.value_interval()
+    assert _farey_width(0.5 * (lo + hi), _N_CAP) == pytest.approx(1.5432e-9, rel=1e-4)
+    with pytest.raises(TargetUnreachable, match="narrower than 1.54e-09"):
+        tune_parameter(ArnoldFamily(0.3), cf, tol=1e-9)
 
 
 def test_monotone_in_parameter():
