@@ -111,11 +111,10 @@ class BrjunoSumResult:
     terms: tuple = field(repr=False, default=())
 
 
-def brjuno_sum(cf: ContinuedFraction, depth: int, window: int = 3,
-               threshold: float = 1.0) -> BrjunoSumResult:
+def brjuno_sum(cf: ContinuedFraction, depth: int) -> BrjunoSumResult:
     """Truncated sum of ln(q_{n+1})/q_n with a divergence heuristic: the sum
-    is flagged diverging when the last `window` threshold-decidable terms
-    each exceed `threshold` (growth of that shape cannot be summable).
+    is flagged diverging when the last 3 threshold-decidable terms each
+    exceed the threshold 1.0 (growth of that shape cannot be summable).
 
     Deep terms of super-exponential chains stop being decidable against the
     threshold once their two-sided bounds straddle it (iterated-exponential
@@ -132,14 +131,14 @@ def brjuno_sum(cf: ContinuedFraction, depth: int, window: int = 3,
         t_lo = num_lo.mul_exp_neg(den_hi).to_float()
         t_hi = num_hi.mul_exp_neg(den_lo).to_float()
         terms.append(t_lo)
-        if t_lo > threshold:
+        if t_lo > 1.0:
             decided.append(True)
-        elif t_hi <= threshold:
+        elif t_hi <= 1.0:
             decided.append(False)
     total = math.fsum(t for t in terms if math.isfinite(t))
     if any(not math.isfinite(t) for t in terms):
         total = math.inf
-    k = min(window, len(decided))
+    k = min(3, len(decided))
     diverging = k > 0 and all(decided[-k:])
     return BrjunoSumResult(total, diverging, depth, tuple(terms))
 
@@ -323,8 +322,6 @@ class ClassifyConfig:
     sigma: float = 0.0
     diophantine_depth: int = 30
     brjuno_depth: int = 40
-    divergence_window: int = 3
-    divergence_threshold: float = 1.0
     h_m_max: int = 10
     h_k_max: int = 20
     h_b_depth: int = 40
@@ -360,8 +357,7 @@ def classify(cf: ContinuedFraction,
     if isinstance(cf.tail, FiniteTail):
         raise RationalDetected("a finite continued fraction is rational")
     dio = diophantine_estimate(cf, config.sigma, config.diophantine_depth)
-    bs = brjuno_sum(cf, config.brjuno_depth, config.divergence_window,
-                    config.divergence_threshold)
+    bs = brjuno_sum(cf, config.brjuno_depth)
     blo, bhi, _ = brjuno_interval(cf, 0, config.brjuno_depth, config.b_cap)
     b_mid = 0.5 * (blo.to_float() + bhi.to_float()) \
         if math.isfinite(bhi.to_float()) else blo.to_float()

@@ -41,32 +41,22 @@ TWO_PI = 2.0 * math.pi
 class KamConfig:
     """Parameters of the iteration.
 
-    Defaults: truncation N_n = N0 * 2^n with N0 = max(8, 2 deg f), strip
+    Truncation N_n = N0 * 2^n with N0 = max(8, 2 deg f), strip
     nu_n = nu0 (1/2 + 2^{-n-1}) so the widths decrease strictly toward
-    nu0 / 2.  Explicit schedules may override both.
+    nu0 / 2.
     """
 
     alpha_cf: ContinuedFraction
     nu0: float = 0.02
-    base_truncation: Optional[int] = None
-    truncations: Optional[tuple] = None
-    strips: Optional[tuple] = None
     max_steps: int = 14
     divisor_floor: float = 1e-8
     threshold: float = 1e-11
 
     def nu_at(self, n: int) -> float:
-        if self.strips is not None:
-            return self.strips[min(n, len(self.strips) - 1)]
         return self.nu0 * (0.5 + 2.0 ** (-n - 1))
 
-    def trunc_at(self, n: int, n0: int) -> int:
-        if self.truncations is not None:
-            return self.truncations[min(n, len(self.truncations) - 1)]
-        return n0 * 2 ** n
-
     def violations(self) -> list[str]:
-        """Cross-field checks; empty when the schedules are admissible."""
+        """Range checks; empty when the parameters are admissible."""
         out = []
         if self.nu0 <= 0:
             out.append("nu0 must be positive")
@@ -74,20 +64,6 @@ class KamConfig:
             out.append("max_steps must be >= 1")
         if self.divisor_floor <= 0:
             out.append("divisor_floor must be positive")
-        if self.strips is not None and len(self.strips) == 0:
-            out.append("strip schedule must not be empty")
-        else:
-            nus = [self.nu_at(n) for n in range(self.max_steps + 1)]
-            if any(b >= a for a, b in zip(nus, nus[1:])):
-                out.append("strip schedule must be strictly decreasing")
-            if nus[-1] < self.nu0 / 2 - 1e-15:
-                out.append("strip schedule must stay at or above nu0/2")
-        if self.truncations is not None:
-            ts = list(self.truncations)
-            if not ts:
-                out.append("truncation schedule must not be empty")
-            if any(b < a for a, b in zip(ts, ts[1:])):
-                out.append("truncation schedule must be nondecreasing")
         return out
 
 
@@ -230,7 +206,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
             raise ValueError(
                 f"rotation number {est.value:.9f} does not match the target "
                 f"{alpha:.9f}; tune the map first")
-    n0 = config.base_truncation or max(8, 2 * f.degree)
+    n0 = max(8, 2 * f.degree)
     trace = KamTrace()
     h_total = rotation(0.0)
     f_n = f
@@ -254,9 +230,8 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
             grow = 0
         prev = norm
         try:
-            step = kam_step(f_n, alpha, config.trunc_at(n, n0),
-                            config.trunc_at(n + 1, n0), nu_n, n,
-                            config.divisor_floor)
+            step = kam_step(f_n, alpha, n0 * 2 ** n, n0 * 2 ** (n + 1), nu_n,
+                            n, config.divisor_floor)
         except (SmallDivisor, Resonance) as e:
             verdict = "resonance_stop"
             note = str(e)
@@ -266,9 +241,13 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
             note = str(e)
             break
         trace.steps.append(step.record)
-        comp = compose_project(step.h, h_total,
-                               max(step.h.degree + h_total.degree, 8))
-        h_total = comp.map
+        try:
+            h_total = compose_project(step.h, h_total, max(
+                step.h.degree + h_total.degree, 8)).map
+        except NotDiffeomorphism as e:
+            verdict = "diverged"
+            note = f"composed conjugacy failed validation: {e}"
+            break
         f_n = step.f_next
     if verdict is None:
         verdict = "diverged"

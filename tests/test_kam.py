@@ -13,6 +13,7 @@ from circlelab.kam import (HermanResult, KamConfig, herman_average,
                            kam_iterate, kam_step, linearization_defect,
                            solve_homological)
 from circlelab.kam import KamTrace, StepRecord
+from circlelab.rotation import tune_parameter
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RNG = np.random.default_rng(2026)
@@ -133,16 +134,16 @@ def test_iterate_rejects_untuned_map():
 def test_iterate_liouville_target_stops():
     # quotients a_{n+1} = round(e^{a_n}) put a resonance at the second
     # denominator q_2 = 61: a perturbation with energy there dies in the
-    # solve once the truncation covers it.  Certified tuning to a target
-    # this close to a rational is orbit-infeasible, so the rotation check
-    # is switched off; the divisor behaviour is what is under test.
+    # solve once the truncation covers it.  The rotation check passes on
+    # this map but costs over a second, so it is switched off; the divisor
+    # behaviour is what is under test.
     lio = ContinuedFraction.rule("exp_round", a1=3)
     alpha = lio.value()
     rng = np.random.default_rng(8)
     co = 1e-4 * (rng.standard_normal(64) + 1j * rng.standard_normal(64))
     co /= np.arange(1, 65) ** 2
     f = AnalyticCircleMap(alpha, co)
-    cfg = KamConfig(lio, base_truncation=64, threshold=1e-13)
+    cfg = KamConfig(lio, threshold=1e-13)
     res = kam_iterate(f, cfg, check_rotation=False)
     assert res.verdict in ("resonance_stop", "diverged")
     if res.verdict == "resonance_stop":
@@ -150,21 +151,42 @@ def test_iterate_liouville_target_stops():
 
 
 def test_config_violations_reported():
-    cfg = KamConfig(ContinuedFraction.golden(), strips=(0.02, 0.03, 0.01),
-                    max_steps=2)
-    assert any("strictly decreasing" in v for v in cfg.violations())
-    cfg2 = KamConfig(ContinuedFraction.golden(), truncations=(16, 8),
-                     max_steps=2)
-    assert any("nondecreasing" in v for v in cfg2.violations())
     assert KamConfig(ContinuedFraction.golden()).violations() == []
 
 
-def test_empty_schedules_are_named_violations():
-    golden = ContinuedFraction.golden()
-    assert KamConfig(golden, strips=()).violations() == [
-        "strip schedule must not be empty"]
-    assert KamConfig(golden, truncations=()).violations() == [
-        "truncation schedule must not be empty"]
+@pytest.mark.parametrize("overrides, steps, note", [
+    ({"max_steps": 1}, 1, "step budget exhausted before reaching the threshold"),
+    ({"nu0": 0.2}, 4, "nonlinearity grew on two consecutive steps"),
+], ids=["budget", "growth"])
+def test_iterate_ends_diverged_on_budget_or_growth(arnold_b005_golden,
+                                                   overrides, steps, note):
+    res = kam_iterate(arnold_b005_golden,
+                      KamConfig(ContinuedFraction.golden(), **overrides))
+    assert (res.verdict, len(res.trace.steps), res.trace.note) == (
+        "diverged", steps, note)
+
+
+@pytest.mark.parametrize("b, quotient, steps, note", [
+    (0.6, 10, 0, "conjugated map failed validation: "),
+    (0.9, 5, 1, "correction too large for a step: "),
+], ids=["conjugated", "correction"])
+def test_iterate_ends_diverged_when_a_step_builds_no_map(b, quotient, steps,
+                                                         note):
+    target = ContinuedFraction.periodic([quotient])
+    a, _ = tune_parameter(ArnoldFamily(b), target, tol=1e-11)
+    res = kam_iterate(ArnoldFamily(b).map_at(a), KamConfig(target))
+    assert (res.verdict, len(res.trace.steps)) == ("diverged", steps)
+    assert res.trace.note.startswith(note)
+
+
+def test_iterate_ends_diverged_when_the_composed_conjugacy_fails(tuned):
+    # at b = 0.95 every step builds its maps, but the fifth correction
+    # composed onto the conjugacy so far is no longer monotone
+    f = ArnoldFamily(0.95).map_at(tuned(0.95, "golden"))
+    res = kam_iterate(f, KamConfig(ContinuedFraction.golden()))
+    assert (res.verdict, len(res.trace.steps)) == ("diverged", 5)
+    assert res.trace.note.startswith(
+        "composed conjugacy failed validation: certified min Df = ")
 
 
 def test_trace_csv_round_trip(arnold_b005_golden):
