@@ -310,17 +310,15 @@ class CompositionResult:
 
 def _project(samples_fn, degrees: list[int],
              out_degree: int) -> CompositionResult:
+    # m > 2 out_degree: c holds every output mode, and its Nyquist mode is tail
     m = 4 * max([out_degree, 1] + degrees)
     x = np.arange(m) / m
     y = samples_fn(x) - x
     c = np.fft.rfft(y) / m
     mean = float(c[0].real)
-    out = c[1:out_degree + 1]
-    if out.size < out_degree:
-        out = np.pad(out, (0, out_degree - out.size))
     tail = 2.0 * float(np.sum(np.abs(c[out_degree + 1:m // 2]) ** 2))
-    tail += float(np.abs(c[m // 2]) ** 2) if m // 2 > out_degree else 0.0
-    return CompositionResult(AnalyticCircleMap(mean, out), tail)
+    tail += float(np.abs(c[m // 2]) ** 2)
+    return CompositionResult(AnalyticCircleMap(mean, c[1:out_degree + 1]), tail)
 
 
 def compose_project(g: AnalyticCircleMap, f: AnalyticCircleMap,
@@ -402,9 +400,6 @@ class ArnoldFamily:
     def map_at(self, a: float) -> AnalyticCircleMap:
         return AnalyticCircleMap(a, np.array([-1j * self.b / (4.0 * math.pi)]))
 
-    def displacement_bound(self) -> float:
-        return abs(self.b) / TWO_PI
-
 
 @dataclass(frozen=True)
 class AffineShiftFamily:
@@ -414,6 +409,3 @@ class AffineShiftFamily:
 
     def map_at(self, a: float) -> AnalyticCircleMap:
         return AnalyticCircleMap(a, self.base.coeffs)
-
-    def displacement_bound(self) -> float:
-        return self.base.displacement_bound()

@@ -244,13 +244,10 @@ def run_kam(cfg: dict, k: dict, args) -> tuple:
     conf = _kam_config(k, ContinuedFraction.from_json(cfg["target"]))
     res = kam_iterate(_map(cfg, k["tune_tol"]), conf)
     (args.out / "kam_trace.csv").write_text(res.trace.to_csv())
-    # the strip schedule the run used
-    strips = [conf.nu_at(n) for n in range(conf.max_steps + 1)]
     t = res.trace
     return (EXIT_OK if res.verdict == "linearized" else EXIT_NEGATIVE,
             {"verdict": res.verdict, "note": t.note, "defect": t.defect,
-             "decay_exponent": t.decay_exponent, "steps": len(t.steps),
-             "resolved": {**k, "strips": strips}})
+             "decay_exponent": t.decay_exponent, "steps": len(t.steps)})
 
 
 def run_geometry(cfg: dict, g: dict, args) -> tuple:
@@ -311,23 +308,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="circlelab", description=(
         "batch experiments on circle-diffeomorphism linearization"))
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(cmd, help):
-        sp = sub.add_parser(cmd, help=help)
-        for flag, t, default in (("--config", Path, None), ("--out", Path, Path(".")),
-                                 ("--seed", int, 0)):
-            sp.add_argument(flag, type=t, default=default)
-        return sp
-
     for cmd, spec in _SPECS.items():
-        sp = common(cmd, spec.help)
+        sp = sub.add_parser(cmd, help=spec.help)
+        sp.add_argument("--config", type=Path)
+        sp.add_argument("--out", type=Path, default=Path("."))
+        sp.add_argument("--seed", type=int, default=0)
         for flag, key in spec.flags.items():
             sp.add_argument(f"--{flag}", type=_CAST[spec.keys[key][0]],
                             help=f"overrides {spec.section}.{key}")
     # only tongue-scan splits its work between processes
     sub.choices["tongue-scan"].add_argument("--workers", type=int, default=1)
-    sp = common("validate", "schema-check a config, no side effects")
+    sp = sub.add_parser("validate", help="schema-check a config, no side effects")
     sp.add_argument("subcommand", help="which schema to validate against")
+    sp.add_argument("--config", type=Path)
     return p
 
 

@@ -35,6 +35,7 @@ from .circlemap import (AnalyticCircleMap, _Orbit, derivative,
                         log_derivative_variation, orbit_lift)
 from .contfrac import cf_expand, convergents
 from .errors import EmptyWindow, PeriodicOrbitDetected, TilingFailure
+from .kam import _fmt
 from .rotation import rho_interval
 
 TILING_TOL = 1e-9
@@ -456,15 +457,11 @@ class GeometryReport:
         beta_by_n = {b.n: b for b in self.beta_rec}
         for lev, dj, gr in zip(self.levels, self.denjoy, self.growth):
             br = beta_by_n.get(lev.n)
-            rows.append(",".join([
-                str(lev.n), str(lev.q), str(lev.q_next),
-                format(lev.qn_distance, ".17g"), format(lev.M, ".17g"),
-                format(lev.m, ".17g"), format(lev.ratio, ".17g"),
-                format(dj.classical_residual, ".17g"),
-                format(dj.improved_constant, ".17g"),
-                format(gr.c_estimate, ".17g"),
-                format(br.c_estimate, ".17g") if br else "",
-            ]))
+            cells = (lev.n, lev.q, lev.q_next, lev.qn_distance, lev.M, lev.m,
+                     lev.ratio, dj.classical_residual, dj.improved_constant,
+                     gr.c_estimate)
+            rows.append(",".join([*map(_fmt, cells),
+                                  _fmt(br.c_estimate) if br else ""]))
         return "\n".join(rows) + "\n"
 
     def to_json_summary(self) -> dict:

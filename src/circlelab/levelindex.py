@@ -37,12 +37,7 @@ class LevelReal:
 
     @staticmethod
     def _canonical(level: int, m: float) -> "LevelReal":
-        while level > 0 and m < _LOG_CAP:
-            e = math.exp(m)
-            if e >= CAP:
-                break
-            m = e
-            level -= 1
+        """exp^level(m) canonical, for an m >= log CAP at level >= 1."""
         while m >= CAP:
             m = math.log(m)
             level += 1

@@ -504,6 +504,9 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10
     (the one rho_interval(map, tol/2) would return) is returned as it is.
     A target whose Farey neighbours within the orbit cap lie more than tol/2
     apart can have no such bracket: TargetUnreachable before any probe.
+
+    `family` needs only `map_at(a)`: x + a + v(x), v fixed; the search
+    keeps a within map_at(target).displacement_bound() + 1e-3 of target.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -517,7 +520,7 @@ def tune_parameter(family, target: ContinuedFraction, tol: float = 1e-10
     if width > tol / 2:
         raise TargetUnreachable(f"no bracket of returns within {_N_CAP} steps "
                                 f"is narrower than {width:.3g}, above tol/2")
-    pad = family.displacement_bound() + 1e-3
+    pad = family.map_at(alpha).displacement_bound() + 1e-3
     lo, hi = alpha - pad, alpha + pad
     a = alpha
     prev: Optional[tuple] = None

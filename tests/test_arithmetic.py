@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab.arithmetic import (brjuno_function,
+from circlelab.arithmetic import (ClassifyConfig, brjuno_function,
                                   brjuno_interval, brjuno_sum, classify,
                                   condition_h_check, diophantine_estimate,
                                   h_recursion_states, r_alpha)
@@ -257,6 +257,23 @@ def test_condition_h_log_power_passes():
 def test_condition_h_requires_brjuno():
     with pytest.raises(NotBrjuno):
         condition_h_check(ContinuedFraction.rule("exp_qn_round", a1=2), 5, 10, 20)
+
+
+def test_condition_h_exp_round_a1_1_is_inconclusive_at_k1():
+    # no seed m <= 1 is settled either way within k <= 1
+    v = condition_h_check(ContinuedFraction.rule("exp_round", a1=1), 1, 1, 40)
+    assert (v.kind, v.fail_m) == ("inconclusive", None)
+
+
+def test_classify_demotes_fail_at_under_a_certified_diophantine_pass():
+    golden, conf = ContinuedFraction.golden(), ClassifyConfig(h_m_max=1, h_k_max=1)
+    h = condition_h_check(golden, 1, 1, conf.h_b_depth, conf.b_cap)
+    assert (h.kind, h.fail_m) == ("fail_at", 0)
+    v = classify(golden, conf)
+    assert v.diophantine.certified
+    assert (v.condition_h.kind, v.condition_h.fail_m) == ("inconclusive", None)
+    assert v.condition_h.probes == h.probes
+    assert v.note.endswith("(class-order consistency)")
 
 
 def test_classify_golden():

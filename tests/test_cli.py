@@ -106,6 +106,16 @@ def test_tune_cli_writes_certified_parameter(tmp_path):
     assert out["error_bound"] <= 1e-10 * 2
 
 
+def test_kam_resolved_is_its_section_with_defaults(tmp_path):
+    cfg = write_cfg(tmp_path, "k.json", {
+        "target": GOLDEN_CF, "family": {"kind": "arnold", "b": 0.0},
+        "kam": {"tune_tol": 1e-10}})
+    assert main(["kam", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    resolved = json.loads((tmp_path / "kam.json").read_text())["resolved"]
+    defaults = {k: d for k, (_, d) in cli._SPECS["kam"].keys.items()}
+    assert resolved == {**defaults, "tune_tol": 1e-10}
+
+
 def test_bootstrap_table(tmp_path):
     assert main(["bootstrap", "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "bootstrap.csv").read_text().strip().split("\n")
@@ -277,11 +287,28 @@ def test_sections_of_other_subcommands_are_not_checked():
 
 @pytest.mark.parametrize("argv", [[c] for c in cli._SPECS if c != "tongue-scan"]
                          + [["validate", "kam"]])
-def test_only_tongue_scan_takes_workers(tmp_path, capsys, argv):
+def test_only_tongue_scan_takes_workers(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(tmp_path), "--workers", "2"])
+        main(argv + ["--workers", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [["--out", "x"], ["--seed", "5"]])
+def test_validate_takes_only_its_config(capsys, extra):
+    argv = ["validate", "kam", "--config", str(CONFIGS / "kam_arnold_golden.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + extra)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+def test_classify_demoted_fail_at_exits_zero(tmp_path):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "target": GOLDEN_CF, "classify": {"h_m_max": 1, "h_k_max": 1}})
+    assert main(["classify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    h = json.loads((tmp_path / "classify.json").read_text())["verdict"]["condition_h"]
+    assert (h["kind"], h["fail_m"]) == ("inconclusive", None)
 
 
 def test_classify_finite_fraction_exits_rational(tmp_path):
@@ -318,7 +345,7 @@ def test_map_family_without_a_is_a_config_violation(tmp_path, capsys):
                                   ["validate", "kam"]])
 def test_config_that_is_not_an_object_is_a_violation(tmp_path, capsys, argv):
     cfg = write_cfg(tmp_path, "c.json", [1, 2])
-    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert main(argv + ["--config", str(cfg)]) == 1
     out = capsys.readouterr()
     assert "config: expected a JSON object, got list" in out.out + out.err
 

@@ -111,6 +111,16 @@ def test_tune_unreachable_target():
         tune_parameter(Shifted(), ContinuedFraction.golden(), tol=1e-8)
 
 
+def test_tune_reads_only_map_at():
+    class Bare:  # a family with map_at and nothing else
+        map_at = staticmethod(ArnoldFamily(0.3).map_at)
+
+    golden = ContinuedFraction.golden()
+    a, est = tune_parameter(Bare(), golden, tol=1e-8)
+    assert abs(est.value - GOLDEN) <= 1e-8
+    assert (a, est) == tune_parameter(ArnoldFamily(0.3), golden, tol=1e-8)
+
+
 def test_farey_width_is_the_narrowest_bracket():
     rng = random.Random(5)
     for _ in range(200):

@@ -71,12 +71,15 @@ def _sha(data: bytes) -> str:
 
 
 def _run(main, name: str, argv: list, work: Path) -> list[str]:
-    """Record lines of one CLI run in a fresh output directory."""
+    """Record lines of one CLI run in a fresh output directory; `validate`
+    writes nothing and takes no `--out`."""
     out = work / name
     out.mkdir()
+    if argv[0] != "validate":
+        argv = argv + ["--out", str(out)]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv + ["--out", str(out)])
+        code = main(argv)
     lines = [f"{name} exit {code}",
              f"{name} stdout {_sha(stdout.getvalue().encode())}",
              f"{name} stderr {_sha(stderr.getvalue().encode())}"]
