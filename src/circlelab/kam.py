@@ -30,7 +30,7 @@ from .errors import (ConjugacyNotDiffeo, NotDiffeomorphism, NotMonotone,
                      Resonance, SmallDivisor)
 from .rotation import _certified_rho, rho_interval
 
-TWO_PI = 2.0 * math.pi
+_RHO_TOL = 1e-5  # largest |rho(f) - alpha| kam_iterate accepts
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +186,26 @@ class KamResult:
     verdict: str  # "linearized" | "diverged" | "resonance_stop"
 
 
-def kam_iterate(f: AnalyticCircleMap, config: KamConfig,
-                check_rotation: bool = True) -> KamResult:
+def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
     """Iterate conjugation steps until the nonlinearity norm falls below the
     threshold (linearized), grows twice in a row or a step degenerates
     (diverged), or a divisor dies (resonance_stop).
 
-    The caller is expected to have tuned rho(f) to the target; a cheap
-    closest-return check guards against gross mismatch.
+    The caller is expected to have tuned rho(f) to the target: a map whose
+    rho(f) is more than _RHO_TOL off raises ValueError, decided on a bracket
+    of width _RHO_TOL / 2, whose error bound keeps the threshold at _RHO_TOL.
     """
     bad = config.violations()
     if bad:
         raise ValueError("; ".join(bad))
     alo, ahi = config.alpha_cf.value_interval()
     alpha = 0.5 * (alo + ahi)
-    if check_rotation and f.degree > 0:
-        est = rho_interval(f, 1e-7, n_cap=400000)
-        if abs(est.value - alpha) > max(1e-5, 2 * est.error_bound):
+    if f.degree > 0:
+        est = rho_interval(f, _RHO_TOL / 2)
+        if abs(est.value - alpha) > max(_RHO_TOL, 2 * est.error_bound):
             raise ValueError(
-                f"rotation number {est.value:.9f} does not match the target "
-                f"{alpha:.9f}; tune the map first")
+                f"rotation number {est.value:.6f} (± {est.error_bound:.1e}) "
+                f"does not match the target {alpha:.9f}; tune the map first")
     n0 = max(8, 2 * f.degree)
     trace = KamTrace()
     h_total = rotation(0.0)

@@ -428,18 +428,17 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     return out
 
 
-def rho_interval(f: AnalyticCircleMap, eps: float, *,
-                 n_cap: int = _N_CAP) -> RotationEstimate:
+def rho_interval(f: AnalyticCircleMap, eps: float) -> RotationEstimate:
     """Closest-return estimate of the orbit from x0 = 0, refined until its
     certified bracket is narrower than eps (or the orbit cap / the _STALL
     guard ends the scan).  The bracket is a property of f: the sign of
     f^q - id - p does not depend on the base point.
     PeriodicOrbitDetected propagates."""
-    scan = _scan_returns(f, 0.0, n_cap, lambda s: s.width() <= eps,
+    scan = _scan_returns(f, 0.0, _N_CAP, lambda s: s.width() <= eps,
                          RATIONAL_TOL, _STALL)
     est = _estimate_from(scan)
     if est is None:
-        return rotation_number_birkhoff(f, 0.0, max(1024, min(n_cap, int(2.0 / eps))))
+        return rotation_number_birkhoff(f, 0.0, max(1024, min(_N_CAP, int(2.0 / eps))))
     return est
 
 

@@ -64,7 +64,7 @@ def test_criterion_01_rotation_baseline():
             f = rotation(alpha)
             bk = rotation_number_birkhoff(f, rng.uniform(0, 1), 1000)
             assert abs(bk.value - alpha) < 1e-12
-            cr = rho_interval(f, 1e-12, n_cap=6_000_000)
+            cr = rho_interval(f, 1e-12)
             assert abs(cr.value - alpha) < 1e-12
 
 

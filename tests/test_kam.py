@@ -13,7 +13,7 @@ from circlelab.kam import (HermanResult, KamConfig, herman_average,
                            kam_iterate, kam_step, linearization_defect,
                            solve_homological)
 from circlelab.kam import KamTrace, StepRecord
-from circlelab.rotation import tune_parameter
+from circlelab.rotation import rho_interval, tune_parameter
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 RNG = np.random.default_rng(2026)
@@ -131,12 +131,27 @@ def test_iterate_rejects_untuned_map():
         kam_iterate(f, KamConfig(ContinuedFraction.golden()))
 
 
+@pytest.mark.parametrize("shift, rejected", [
+    (2e-5, True), (-2e-5, True), (4e-6, False), (-4e-6, False),
+])
+def test_iterate_rotation_check_tolerance(tuned, shift, rejected):
+    # shifting a tuned parameter by s moves rho by about s: maps 2e-5 off
+    # the target are rejected, maps 4e-6 off pass the 1e-5 tolerance
+    f = ArnoldFamily(0.05).map_at(tuned(0.05, "golden") + shift)
+    off = rho_interval(f, 1e-10).value - GOLDEN
+    assert off == pytest.approx(shift, rel=1e-3)
+    cfg = KamConfig(ContinuedFraction.golden(), max_steps=1)
+    if rejected:
+        with pytest.raises(ValueError, match="tune the map first"):
+            kam_iterate(f, cfg)
+    else:
+        kam_iterate(f, cfg)
+
+
 def test_iterate_liouville_target_stops():
     # quotients a_{n+1} = round(e^{a_n}) put a resonance at the second
     # denominator q_2 = 61: a perturbation with energy there dies in the
-    # solve once the truncation covers it.  The rotation check passes on
-    # this map but costs over a second, so it is switched off; the divisor
-    # behaviour is what is under test.
+    # solve once the truncation covers it.
     lio = ContinuedFraction.rule("exp_round", a1=3)
     alpha = lio.value()
     rng = np.random.default_rng(8)
@@ -144,7 +159,7 @@ def test_iterate_liouville_target_stops():
     co /= np.arange(1, 65) ** 2
     f = AnalyticCircleMap(alpha, co)
     cfg = KamConfig(lio, threshold=1e-13)
-    res = kam_iterate(f, cfg, check_rotation=False)
+    res = kam_iterate(f, cfg)
     assert res.verdict in ("resonance_stop", "diverged")
     if res.verdict == "resonance_stop":
         assert "61" in res.trace.note

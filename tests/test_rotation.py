@@ -455,7 +455,8 @@ def test_closest_return_batch_needs_one_base_point_per_map(n_x0s):
         closest_return_batch([f, f], [0.0] * n_x0s)
 
 
-def test_rho_interval_cap_is_keyword_only():
-    # keyword-only, so no positional value binds to a removed parameter
+def test_rho_interval_takes_f_and_eps_only():
+    # rho_interval(f, eps) always scans up to the one orbit cap; a third
+    # argument is an error, not a cap
     with pytest.raises(TypeError):
         rho_interval(ArnoldFamily(0.3).map_at(0.61), 1e-6, 400000)

@@ -9,9 +9,9 @@ run prints its exit code and one sha256 per stream and output file:
     <run> stdout|stderr|<file> <sha256>
 
 The runs are every subcommand and `validate` on every `configs/*.json`,
-plus edge inputs: a locked map, two rotations, a finite fraction, an
-`exp_round` tower, a count-bound violation, a small seeded tongue grid and
-`bootstrap`.  The last line hashes the classify JSON of the `arith` mix of
+plus edge inputs: a locked map, a `kam` map not tuned to its target, two
+rotations, a finite fraction, an `exp_round` tower, a count-bound violation,
+a small seeded tongue grid and `bootstrap`.  The last line hashes the classify JSON of the `arith` mix of
 `perfbench/workloads.py` (8 seeds x 3 rounds x 7 kinds) and both classify
 configs.  Run it on two trees and diff the records: equal records mean
 byte-identical runs.
@@ -44,6 +44,8 @@ EXTRA = [
      {"map": {"family": {"kind": "arnold", "a": 0.5, "b": 0.3}}}),
     ("locked-kam", ["kam"],
      {"target": GOLDEN, "map": {"family": {"kind": "arnold", "a": 0.5, "b": 0.3}}}),
+    ("mistuned-kam", ["kam"],
+     {"target": GOLDEN, "map": {"family": {"kind": "arnold", "a": 0.55, "b": 0.3}}}),
     ("locked-geometry", ["geometry"],
      {"target": GOLDEN, "map": {"family": {"kind": "arnold", "a": 0.5, "b": 0.3}}}),
     ("rotation-rotnum", ["rotnum"],
