@@ -268,17 +268,25 @@ def condition_h_check(cf: ContinuedFraction, m_max: int, k_max: int,
     every k <= k_max.
     inconclusive:  anything else.
     """
+    return _condition_h(cf, m_max, k_max, b_depth, b_cap, None, {})
+
+
+def _condition_h(cf, m_max, k_max, b_depth, b_cap, gate, windows):
+    """condition_h_check's body.  `gate` is a Brjuno sum already computed
+    (used when its depth is the gate's), `windows` the
+    brjuno_interval(cf, n, b_depth, b_cap) results already computed, by n."""
     if min(m_max, k_max, b_depth) < 1:
         raise ValueError("m_max, k_max, b_depth must all be >= 1")
-    gate = brjuno_sum(cf, depth=max(40, m_max + k_max + 2))
+    gate_depth = max(40, m_max + k_max + 2)
+    if gate is None or gate.depth != gate_depth:
+        gate = brjuno_sum(cf, gate_depth)
     if gate.diverging:
         raise NotBrjuno("divergence-certified quotient growth")
-    cache: dict[int, tuple] = {}
 
     def b_at(n):
-        if n not in cache:
-            cache[n] = brjuno_interval(cf, n, b_depth, b_cap)
-        return cache[n]
+        if n not in windows:
+            windows[n] = brjuno_interval(cf, n, b_depth, b_cap)
+        return windows[n]
 
     probes = []
     first_fail = None
@@ -358,7 +366,8 @@ def classify(cf: ContinuedFraction,
         raise RationalDetected("a finite continued fraction is rational")
     dio = diophantine_estimate(cf, config.sigma, config.diophantine_depth)
     bs = brjuno_sum(cf, config.brjuno_depth)
-    blo, bhi, _ = brjuno_interval(cf, 0, config.brjuno_depth, config.b_cap)
+    b0 = brjuno_interval(cf, 0, config.brjuno_depth, config.b_cap)
+    blo, bhi, _ = b0
     b_mid = 0.5 * (blo.to_float() + bhi.to_float()) \
         if math.isfinite(bhi.to_float()) else blo.to_float()
     note = ""
@@ -366,8 +375,9 @@ def classify(cf: ContinuedFraction,
         h = None
         note = "Brjuno sum diverging: linearization-condition check vacuous"
     else:
-        h = condition_h_check(cf, config.h_m_max, config.h_k_max,
-                              config.h_b_depth, config.b_cap)
+        windows = {0: b0} if config.h_b_depth == config.brjuno_depth else {}
+        h = _condition_h(cf, config.h_m_max, config.h_k_max,
+                         config.h_b_depth, config.b_cap, bs, windows)
         if dio.certified and h.kind == "fail_at":
             h = ConditionHVerdict("inconclusive", h.m_max, h.k_max,
                                   h.b_depth, None, h.probes)

@@ -90,7 +90,10 @@ class ContinuedFraction:
     (0, 1), with lazily extended, immutable-once-computed quotient data.
 
     Retrieval of quotient n never mutates earlier entries; all accessors are
-    safe to call from multiple threads.
+    safe to call from multiple threads.  The brackets of the Gauss iterates
+    (`shifted_value_bracket`, `log_inverse_interval`) are fixed functions of
+    their index, so each is computed once per index and kept; every later
+    call returns the kept objects.
     """
 
     def __init__(self, quotients: Sequence[int] = (), tail=None):
@@ -120,6 +123,9 @@ class ContinuedFraction:
         self._q: list[Optional[int]] = [1]
         self._lnq: list[tuple[LevelReal, LevelReal]] = [(ZERO, ZERO)]
         self._extend_chains()
+        # kept brackets by index; a call that raises keeps nothing
+        self._brackets: dict[int, tuple[Fraction, Fraction]] = {}
+        self._log_inverses: dict[int, tuple[LevelReal, LevelReal]] = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -266,7 +272,16 @@ class ContinuedFraction:
 
     def shifted_value_bracket(self, n: int = 0) -> tuple[Fraction, Fraction]:
         """Exact rational bracket for the value of [a_{n+1}, a_{n+2}, ...]
-        (the n-th Gauss iterate of the value of this fraction)."""
+        (the n-th Gauss iterate of the value of this fraction), computed once
+        per n and kept."""
+        b = self._brackets.get(n)
+        if b is None:
+            # setdefault is atomic: racing threads all return the first kept
+            # bracket, and every computation of it is equal
+            b = self._brackets.setdefault(n, self._bracket(n))
+        return b
+
+    def _bracket(self, n: int) -> tuple[Fraction, Fraction]:
         p1, q1 = 0, 1
         p0, q0 = 1, 0
         k = 0
@@ -310,7 +325,14 @@ class ContinuedFraction:
                 min(1.0, math.nextafter(float(hi), math.inf)))
 
     def log_inverse_interval(self, n: int) -> tuple[LevelReal, LevelReal]:
-        """Two-sided bounds on ln(1 / G^n(value)) as LevelReal."""
+        """Two-sided bounds on ln(1 / G^n(value)) as LevelReal, computed once
+        per n and kept."""
+        b = self._log_inverses.get(n)
+        if b is None:
+            b = self._log_inverses.setdefault(n, self._log_inverse(n))
+        return b
+
+    def _log_inverse(self, n: int) -> tuple[LevelReal, LevelReal]:
         a1 = self.quotient(n + 1)
         if a1 is not None:
             tlo, thi = self.gauss_iterate_interval(n + 1)

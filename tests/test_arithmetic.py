@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from circlelab.arithmetic import (ClassifyConfig, brjuno_function,
                                   brjuno_interval, brjuno_sum, classify,
                                   condition_h_check, diophantine_estimate,
                                   h_recursion_states, r_alpha)
-from circlelab.contfrac import ContinuedFraction
+from circlelab.contfrac import ContinuedFraction, RuleTail
 from circlelab.errors import ExactnessExhausted, NotBrjuno, RationalDetected
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -283,6 +284,49 @@ def test_classify_golden():
     assert v.condition_h.kind == "pass_to_depth"
     ref = math.log(1.0 / GOLDEN) / (1.0 - GOLDEN)
     assert v.brjuno_B == pytest.approx(ref, abs=1e-6)
+
+
+@pytest.mark.parametrize("cf", [ContinuedFraction.golden(),
+                                ContinuedFraction.rule("exp_round", a1=3)],
+                         ids=["golden", "exp_round"])
+def test_classify_computes_each_bracket_once(cf, monkeypatch):
+    computed = {"_bracket": Counter(), "_log_inverse": Counter()}
+    for name, count in computed.items():
+        def counting(self, n, _f=getattr(ContinuedFraction, name), _c=count):
+            _c[n] += 1
+            return _f(self, n)
+        monkeypatch.setattr(ContinuedFraction, name, counting)
+    classify(cf)
+    for count in computed.values():
+        assert count and max(count.values()) == 1
+
+
+@pytest.mark.parametrize("config, depths", [
+    (ClassifyConfig(), [40]),
+    (ClassifyConfig(brjuno_depth=30), [30, 40]),  # the H check's own depth 40
+], ids=["default", "brjuno_depth30"])
+def test_classify_computes_its_brjuno_data_once(config, depths, monkeypatch):
+    import circlelab.arithmetic as arith
+    calls = Counter()
+    for name in ("brjuno_sum", "brjuno_interval"):
+        def counting(cf, *args, _f=getattr(arith, name), _name=name, **kw):
+            calls[(_name,) + args + tuple(kw.values())] += 1
+            return _f(cf, *args, **kw)
+        monkeypatch.setattr(arith, name, counting)
+    arith.classify(ContinuedFraction.golden(), config)
+    for d in depths:
+        assert calls[("brjuno_sum", d)] == 1
+        assert calls[("brjuno_interval", 0, d, 50.0)] == 1
+
+
+def test_classify_gates_the_h_check_at_its_own_depth():
+    # the sum diverges from depth 5 on: a classify at brjuno_depth 4 does
+    # not flag it, and its H check still refuses the fraction at depth 40
+    cf = ContinuedFraction([1, 1], RuleTail("exp_qn_round"))
+    assert not brjuno_sum(cf, 4).diverging
+    assert brjuno_sum(cf, 40).diverging
+    with pytest.raises(NotBrjuno):
+        classify(cf, ClassifyConfig(brjuno_depth=4))
 
 
 def test_classify_finite_fraction_is_rational():

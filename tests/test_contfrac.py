@@ -210,6 +210,77 @@ def test_concurrent_quotient_access_is_consistent():
         assert r == deep[:len(r)]
 
 
+# one fraction of each kind the arith benchmark classifies
+BRACKET_KINDS = {
+    "golden": lambda: ContinuedFraction.golden(),
+    "periodic": lambda: ContinuedFraction.periodic([3, 1, 4]),
+    "bounded_prng": lambda: ContinuedFraction.rule("bounded_prng", a1=2,
+                                                   seed=5, lo=1, hi=9),
+    "exp_round": lambda: ContinuedFraction.rule("exp_round", a1=3),
+    "exp_sqrt_ceil": lambda: ContinuedFraction.rule("exp_sqrt_ceil", a1=3),
+    "exp_qn_round": lambda: ContinuedFraction.rule("exp_qn_round", a1=2),
+    "log_power": lambda: ContinuedFraction.rule("log_power", a1=3, c=2.0),
+}
+
+
+def _bits(pair):
+    """A bracket as comparable data: Fractions and floats as they are,
+    LevelReals as their (level, m)."""
+    return tuple((x.level, x.m) if hasattr(x, "level") else x for x in pair)
+
+
+@pytest.mark.parametrize("kind", sorted(BRACKET_KINDS))
+def test_kept_brackets_equal_fresh_reverse_reads(kind):
+    # a kept bracket is the one a fraction that has seen no other query
+    # computes, whatever the order of the queries
+    cf, fresh = BRACKET_KINDS[kind](), BRACKET_KINDS[kind]()
+    reads = ("shifted_value_bracket", "gauss_iterate_interval",
+             "log_inverse_interval")
+    forward = {(name, n): _bits(getattr(cf, name)(n))
+               for n in range(61) for name in reads}
+    reverse = {(name, n): _bits(getattr(fresh, name)(n))
+               for n in range(60, -1, -1) for name in reads}
+    assert forward == reverse
+    for n in range(61):
+        assert cf.shifted_value_bracket(n) is cf.shifted_value_bracket(n)
+        assert cf.log_inverse_interval(n) is cf.log_inverse_interval(n)
+
+
+def test_a_bracket_that_raises_raises_again():
+    cf = ContinuedFraction([3, 1, 4])
+    for _ in range(2):
+        with pytest.raises(RationalDetected):
+            cf.shifted_value_bracket(3)
+
+
+def test_concurrent_bracket_reads_are_consistent():
+    # threads that ask for the same brackets at once get equal values and,
+    # once kept, one object per index; a short switch interval makes the
+    # threads interleave inside the bracket computations
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    cf = ContinuedFraction.rule("log_power", a1=8, c=2.0)
+    serial = ContinuedFraction.rule("log_power", a1=8, c=2.0)
+    ranges = [(0, 30), (10, 40), (20, 50), (5, 45), (0, 50), (25, 35),
+              (15, 25), (30, 50)]
+
+    def probe(span):
+        lo, hi = span
+        return {n: cf.log_inverse_interval(n) for n in range(lo, hi)}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            results = list(ex.map(probe, ranges, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for r in results:
+        for n, pair in r.items():
+            assert _bits(pair) == _bits(serial.log_inverse_interval(n))
+            assert pair is cf.log_inverse_interval(n)
+
+
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
         ContinuedFraction([0, 1])
