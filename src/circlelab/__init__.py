@@ -6,8 +6,8 @@ Library layout:
 * ``arithmetic`` -- Diophantine, Brjuno, and linearization-condition verdicts
 * ``circlemap``  -- analytic circle-map lifts and their calculus
 * ``rotation``   -- rotation-number estimators and family tuning
-* ``kam``        -- homological solves, conjugation steps, Newton iteration,
-                    averaged conjugacies
+* ``kam``        -- homological solves, the Newton iteration on the
+                    conjugacy equation, averaged conjugacies
 * ``geometry``   -- dynamical partitions, distortion inequalities, bootstrap
 * ``cli``        -- batch experiment runner
 
@@ -20,10 +20,9 @@ from .arithmetic import (ArithmeticVerdict, ClassifyConfig, brjuno_function,
                          brjuno_interval, brjuno_sum, classify,
                          condition_h_check, diophantine_estimate, r_alpha)
 from .circlemap import (AnalyticCircleMap, ArnoldFamily, AffineShiftFamily,
-                        compose_project, conjugate_project, derivative,
-                        evaluate, inverse, iterate, log_derivative_variation,
-                        map_from_json, orbit_lift, orbit_log_derivative,
-                        rotation, strip_norm)
+                        derivative, evaluate, inverse, iterate,
+                        log_derivative_variation, map_from_json, orbit_lift,
+                        orbit_log_derivative, rotation)
 from .contfrac import ContinuedFraction, Convergent, cf_expand, convergents
 from .geometry import (GeometryReport, PartitionLevel, beta_recursion_check,
                        bootstrap_schedule, build_partition, c1_criterion,
@@ -46,10 +45,9 @@ __all__ = [
     "brjuno_interval", "brjuno_sum", "classify", "condition_h_check",
     "diophantine_estimate", "r_alpha",
     # maps and calculus
-    "AnalyticCircleMap", "ArnoldFamily", "AffineShiftFamily",
-    "compose_project", "conjugate_project", "derivative", "evaluate",
-    "inverse", "iterate", "log_derivative_variation", "map_from_json",
-    "orbit_lift", "orbit_log_derivative", "rotation", "strip_norm",
+    "AnalyticCircleMap", "ArnoldFamily", "AffineShiftFamily", "derivative",
+    "evaluate", "inverse", "iterate", "log_derivative_variation",
+    "map_from_json", "orbit_lift", "orbit_log_derivative", "rotation",
     # rotation numbers
     "ClosestReturn", "RotationEstimate", "closest_return_batch",
     "closest_returns", "eq_rot_check",

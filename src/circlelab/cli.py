@@ -92,9 +92,9 @@ _SPECS = {
     "kam": _Spec(
         "full linearization run: trace + verdict", "kam.json",
         ("target", "map|family"), "kam",
-        {**_lib(KamConfig, nu0=_F, max_steps=int, divisor_floor=_F, threshold=_F),
+        {**_lib(KamConfig, max_steps=int, divisor_floor=_F, threshold=_F),
          **_TUNE_TOL},
-        {"tol": "tune_tol", "nu0": "nu0"}),
+        {"tol": "tune_tol"}),
     "geometry": _Spec(
         "multi-level partition report", "geometry.json",
         ("map|family", "map|target"), "geometry",
@@ -247,7 +247,8 @@ def run_kam(cfg: dict, k: dict, args) -> tuple:
     t = res.trace
     return (EXIT_OK if res.verdict == "linearized" else EXIT_NEGATIVE,
             {"verdict": res.verdict, "note": t.note, "defect": t.defect,
-             "decay_exponent": t.decay_exponent, "steps": len(t.steps)})
+             "decay_exponent": t.decay_exponent, "steps": len(t.steps),
+             "grid": t.grid, "counterterm": t.counterterm})
 
 
 def run_geometry(cfg: dict, g: dict, args) -> tuple:

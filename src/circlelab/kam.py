@@ -1,12 +1,16 @@
 """Local linearization machinery.
 
-One step solves the additive conjugacy equation w(x + alpha) - w(x) = -v(x)
-mode by mode (dividing by e^(2 pi i k alpha) - 1, the small divisors), forms
-h = id + w, and replaces f by h o f o h^{-1}, recentred and spectrally
-projected.  Iterating drives the nonlinearity down quadratically while the
-truncation order grows and the analyticity strip shrinks geometrically toward
-half its initial width; the trace records norms, mean shifts, tail energies,
-and divisor minima per step so a failed run explains itself.
+The Newton scheme solves the conjugacy equation f_a(K(t)) = K(t + alpha)
+directly, in the parameterization form of de la Llave, Gonzalez, Jorba and
+Villanueva (Nonlinearity 2005): K = id + u is sampled on an N-point grid and
+the family parameter of f_a = f + (a - c) is the counterterm.  One step takes
+the error E = f_a o K - K(. + alpha), solves the homological equation
+W - W(. + alpha) = -(E + da) / K'(. + alpha) mode by mode (dividing by
+e^(2 pi i k alpha) - 1, the small divisors), and sets K += K' W, a += da,
+keeping the modes below N/4.  No inverse and no composition is taken along
+the way; the grid doubles while K's modes in [N/8, N/4) are not negligible.
+The trace records per step the grid, sup |E|, sup |dK|, |da|, the energy cut
+off above N/4 and the smallest divisor, so a failed run explains itself.
 
 An independent estimator is also provided: the orbit-averaged conjugacy
 h_n = (id + f + ... + f^{n-1})/n, whose defect is measurable without any
@@ -17,20 +21,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .circlemap import (AnalyticCircleMap, _Orbit, compose_project,
-                        conjugate_project, evaluate, inverse, orbit_lift,
-                        rotation, strip_norm)
+from .circlemap import (AffineShiftFamily, AnalyticCircleMap, _Orbit,
+                        evaluate, inverse, orbit_lift, rotation)
 from .contfrac import ContinuedFraction
-from .errors import (ConjugacyNotDiffeo, NotDiffeomorphism, NotMonotone,
-                     Resonance, SmallDivisor)
+from .errors import (CircleLabError, ConjugacyNotDiffeo, NoConvergence,
+                     NotDiffeomorphism, NotMonotone, Resonance, SmallDivisor)
 from .rotation import _certified_rho, rho_interval
 
 _RHO_TOL = 1e-5  # largest |rho(f) - alpha| kam_iterate accepts
+_GRID_MAX = 8192  # the grid doubles up to this many points
+_TAIL = 1e-14  # largest mode of K in [N/8, N/4) that keeps the grid at N
 
 
 # ---------------------------------------------------------------------------
@@ -41,25 +46,19 @@ _RHO_TOL = 1e-5  # largest |rho(f) - alpha| kam_iterate accepts
 class KamConfig:
     """Parameters of the iteration.
 
-    Truncation N_n = N0 * 2^n with N0 = max(8, 2 deg f), strip
-    nu_n = nu0 (1/2 + 2^{-n-1}) so the widths decrease strictly toward
-    nu0 / 2.
+    The grid starts at N = 4 max(8, 2 deg f) points and doubles up to 8192;
+    a run ends `linearized` once sup |E| over the grid and the counterterm
+    a - c are both below threshold.
     """
 
     alpha_cf: ContinuedFraction
-    nu0: float = 0.02
     max_steps: int = 14
     divisor_floor: float = 1e-8
     threshold: float = 1e-11
 
-    def nu_at(self, n: int) -> float:
-        return self.nu0 * (0.5 + 2.0 ** (-n - 1))
-
     def violations(self) -> list[str]:
         """Range checks; empty when the parameters are admissible."""
         out = []
-        if self.nu0 <= 0:
-            out.append("nu0 must be positive")
         if self.max_steps < 1:
             out.append("max_steps must be >= 1")
         if self.divisor_floor <= 0:
@@ -70,11 +69,12 @@ class KamConfig:
 @dataclass(frozen=True)
 class StepRecord:
     step: int
-    norm_v: float        # strip norm of f - T_alpha at nu_n
-    norm_w: float        # strip norm of the solved correction at nu_n
-    mean_shift: float    # |v_hat(0)| before recentring
-    tail_energy: float   # spectral energy discarded by the projection
-    min_divisor: float   # smallest divisor magnitude used this step
+    grid: int            # grid points N
+    error: float         # sup |E| over the grid before the step
+    delta_k: float       # sup |dK| over the grid
+    delta_a: float       # |da|, the counterterm's step
+    tail_energy: float   # spectral energy of dK cut off above N/4
+    min_divisor: float   # smallest divisor magnitude below N/4
 
 
 @dataclass
@@ -84,8 +84,9 @@ class KamTrace:
     note: str = ""
     defect: float = math.nan
     decay_exponent: float = math.nan
-    quad_constant: float = math.nan       # max norm_{n+1} / norm_n^1.5
-    mean_shift_constant: float = math.nan  # max |v_hat(0)| / norm_v^2
+    quad_constant: float = math.nan  # max error_{n+1} / error_n^1.5
+    grid: int = 0                    # the final grid N
+    counterterm: float = math.nan    # a - c, the parameter's total shift
 
     CSV_HEADER = ",".join(f.name for f in fields(StepRecord))
 
@@ -105,7 +106,7 @@ def _fmt(v) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the homological solve and one conjugation step
+# the homological solve and one Newton step
 
 
 def solve_homological(coeffs: np.ndarray, alpha: float, trunc: int,
@@ -134,45 +135,63 @@ def solve_homological(coeffs: np.ndarray, alpha: float, trunc: int,
     return out
 
 
-def min_divisor(degree: int, alpha: float) -> float:
-    if degree < 1:
-        return math.inf
-    k = np.arange(1, degree + 1)
-    return float(np.min(np.abs(np.exp(2j * math.pi * k * alpha) - 1.0)))
-
-
 @dataclass(frozen=True)
 class KamStep:
-    h: AnalyticCircleMap
-    f_next: AnalyticCircleMap
+    K: AnalyticCircleMap
+    delta_a: float
     record: StepRecord
 
 
-def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, out_degree: int,
-             nu: float, step_index: int = 0,
-             divisor_floor: float = 1e-8) -> KamStep:
-    """One conjugation step: solve for w from the nonlinearity of f (with the
-    mean recentred away), build h = id + w, and return h o f o h^{-1}
-    projected to out_degree."""
-    mean_shift = float(f.mean_shift - alpha)
-    w_hat = solve_homological(f.coeffs, alpha, trunc, divisor_floor)
+def _samples(c: np.ndarray, grid: int) -> np.ndarray:
+    """The real trig polynomial with modes c (c[0] its mean) at j / grid."""
+    return np.fft.irfft(c, grid) * grid
+
+
+def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, grid: int,
+             divisor_floor: float = 1e-8,
+             K: Optional[AnalyticCircleMap] = None,
+             threshold: float = 0.0) -> KamStep:
+    """One Newton step for f(K(t)) = K(t + alpha) on the grid t_j = j / grid,
+    from K (the identity when None): the counterterm
+    da = -mean(E / K'(. + alpha)) / mean(1 / K'(. + alpha)) makes the
+    right-hand side of W - W(. + alpha) = -(E + da) / K'(. + alpha) of mean
+    zero, its modes below trunc are solved, and K + K' W keeps the modes
+    below trunc.  With trunc <= grid / 4 the product K' W is exact on the
+    grid.  f's mean shift plays the parameter: the caller adds da to it.
+    When sup |E| is already below threshold, K is returned as it is, with
+    da = 0 and no correction built."""
+    K = rotation(0.0) if K is None else K
+    c = np.zeros(grid // 2 + 1, complex)
+    c[0], c[1:K.degree + 1] = K.mean_shift, K.coeffs
+    ik = 2j * math.pi * np.arange(c.size)
+    phase = np.exp(ik * alpha)  # e^(2 pi i k alpha), the divisors' phases
+    shifted = c * phase
+    t = np.arange(grid) / grid
+    err = evaluate(f, t + _samples(c, grid)) - t - alpha - _samples(shifted, grid)
+    error = float(np.max(np.abs(err)))
+    min_divisor = float(np.min(np.abs(phase[1:trunc] - 1.0)))
+    if error < threshold:
+        return KamStep(K=K, delta_a=0.0, record=StepRecord(
+            step=0, grid=grid, error=error, delta_k=0.0, delta_a=0.0,
+            tail_energy=0.0, min_divisor=min_divisor))
+    dk_shifted = 1.0 + _samples(ik * shifted, grid)
+    da = float(-np.mean(err / dk_shifted) / np.mean(1.0 / dk_shifted))
+    v = np.fft.rfft((err + da) / dk_shifted) / grid
+    w = np.zeros_like(c)
+    w[1:trunc] = solve_homological(-v[1:trunc], alpha, trunc, divisor_floor)
+    d = np.fft.rfft((1.0 + _samples(ik * c, grid)) * _samples(w, grid)) / grid
+    tail = 2.0 * float(np.sum(np.abs(d[trunc:]) ** 2))
+    d[trunc:] = 0.0
+    c += d
     try:
-        h = AnalyticCircleMap(0.0, w_hat)
+        K_next = AnalyticCircleMap(c[0].real, c[1:trunc])
     except NotDiffeomorphism as e:
         raise ConjugacyNotDiffeo(f"correction too large for a step: {e}") from e
-    try:
-        conj = conjugate_project(h, f, out_degree)
-    except NotDiffeomorphism as e:
-        raise ConjugacyNotDiffeo(f"conjugated map failed validation: {e}") from e
     rec = StepRecord(
-        step=step_index,
-        norm_v=strip_norm(f, rotation(alpha), nu),
-        norm_w=strip_norm(h, rotation(0.0), nu),
-        mean_shift=abs(mean_shift),
-        tail_energy=conj.tail_energy,
-        min_divisor=min_divisor(min(trunc, f.degree), alpha),
-    )
-    return KamStep(h=h, f_next=conj.map, record=rec)
+        step=0, grid=grid, error=error,
+        delta_k=float(np.max(np.abs(_samples(d, grid)))),
+        delta_a=abs(da), tail_energy=tail, min_divisor=min_divisor)
+    return KamStep(K=K_next, delta_a=da, record=rec)
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +200,23 @@ def kam_step(f: AnalyticCircleMap, alpha: float, trunc: int, out_degree: int,
 
 @dataclass(frozen=True)
 class KamResult:
-    h: AnalyticCircleMap
+    h: Optional[AnalyticCircleMap]  # None unless the run linearized
     trace: KamTrace
     verdict: str  # "linearized" | "diverged" | "resonance_stop"
 
 
 def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
-    """Iterate conjugation steps until the nonlinearity norm falls below the
-    threshold (linearized), grows twice in a row or a step degenerates
-    (diverged), or a divisor dies (resonance_stop).
+    """Newton steps on f_a(K(t)) = K(t + alpha) until sup |E| over the grid
+    falls below the threshold, a step's K is no diffeomorphism or the step
+    budget runs out (diverged), or a divisor dies (resonance_stop).  A run
+    whose sup |E| falls below the threshold ends linearized only when the
+    counterterm a - c is below it too: otherwise K conjugates f_a, not f,
+    and the run ends diverged.  A linearized run returns h = K^{-1},
+    sampled through `inverse` on the final grid, and its defect; where h
+    fails validation (its modes below N/2 do not resolve it, as near b = 1)
+    the run ends diverged after all.  Any other run returns no h, as an
+    unconverged K^{-1} need not project to a diffeomorphism.  The trace
+    records the final grid and the counterterm a - c.
 
     The caller is expected to have tuned rho(f) to the target: a map whose
     rho(f) is more than _RHO_TOL off raises ValueError, decided on a bracket
@@ -206,32 +233,16 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
             raise ValueError(
                 f"rotation number {est.value:.6f} (± {est.error_bound:.1e}) "
                 f"does not match the target {alpha:.9f}; tune the map first")
-    n0 = max(8, 2 * f.degree)
+    family = AffineShiftFamily(f)
     trace = KamTrace()
-    h_total = rotation(0.0)
-    f_n = f
-    prev = math.inf
-    grow = 0
+    c0 = f.mean_shift
+    K, a, grid = rotation(0.0), c0, 4 * max(8, 2 * f.degree)
     verdict = None
     note = ""
     for n in range(config.max_steps):
-        nu_n = config.nu_at(n)
-        norm = strip_norm(f_n, rotation(alpha), nu_n)
-        if norm < config.threshold:
-            verdict = "linearized"
-            break
-        if norm > prev:
-            grow += 1
-            if grow >= 2:
-                verdict = "diverged"
-                note = "nonlinearity grew on two consecutive steps"
-                break
-        else:
-            grow = 0
-        prev = norm
         try:
-            step = kam_step(f_n, alpha, n0 * 2 ** n, n0 * 2 ** (n + 1), nu_n,
-                            n, config.divisor_floor)
+            step = kam_step(family.map_at(a), alpha, grid // 4, grid,
+                            config.divisor_floor, K, config.threshold)
         except (SmallDivisor, Resonance) as e:
             verdict = "resonance_stop"
             note = str(e)
@@ -240,23 +251,38 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
             verdict = "diverged"
             note = str(e)
             break
-        trace.steps.append(step.record)
-        try:
-            h_total = compose_project(step.h, h_total, max(
-                step.h.degree + h_total.degree, 8)).map
-        except NotDiffeomorphism as e:
-            verdict = "diverged"
-            note = f"composed conjugacy failed validation: {e}"
+        if step.record.error < config.threshold:
+            verdict = "linearized"
             break
-        f_n = step.f_next
+        trace.steps.append(replace(step.record, step=n))
+        K, a = step.K, a + step.delta_a
+        if grid < _GRID_MAX and np.max(np.abs(K.coeffs[grid // 8 - 1:]),
+                                       initial=0.0) > _TAIL:
+            grid *= 2
     if verdict is None:
         verdict = "diverged"
         note = "step budget exhausted before reaching the threshold"
+    elif verdict == "linearized" and not abs(a - c0) < config.threshold:
+        verdict = "diverged"
+        note = (f"the equation holds for f + (a - c) with counterterm a - c = "
+                f"{a - c0:.3e}, not below the threshold: rho(f) is not the "
+                f"target")
+    h = None
+    if verdict == "linearized":
+        t = np.arange(grid) / grid
+        c = np.fft.rfft(inverse(K, t) - t) / grid
+        try:
+            h = AnalyticCircleMap(c[0].real, c[1:grid // 2])
+            trace.defect = linearization_defect(h, f, alpha)
+        except (NotDiffeomorphism, NoConvergence) as e:
+            h, verdict = None, "diverged"
+            note = f"K^-1 on {grid} points failed validation: {e}"
     trace.verdict = verdict
     trace.note = note
-    trace.defect = linearization_defect(h_total, f, alpha)
+    trace.grid = grid
+    trace.counterterm = a - c0
     _fit_trace_constants(trace)
-    return KamResult(h=h_total, trace=trace, verdict=verdict)
+    return KamResult(h=h, trace=trace, verdict=verdict)
 
 
 def linearization_defect(h: AnalyticCircleMap, f: AnalyticCircleMap,
@@ -269,8 +295,8 @@ def linearization_defect(h: AnalyticCircleMap, f: AnalyticCircleMap,
 
 
 def _fit_trace_constants(trace: KamTrace):
-    norms = [s.norm_v for s in trace.steps]
-    pairs = [(a, b) for a, b in zip(norms, norms[1:])
+    errors = [s.error for s in trace.steps]
+    pairs = [(a, b) for a, b in zip(errors, errors[1:])
              if a > 1e-13 and b > 1e-13 and a < 1.0]
     if pairs:
         xs = np.log([a for a, _ in pairs])
@@ -281,11 +307,6 @@ def _fit_trace_constants(trace: KamTrace):
             slope = ys[0] / xs[0]
         trace.decay_exponent = float(slope)
         trace.quad_constant = float(max(b / a**1.5 for a, b in pairs))
-    # a mean shift at 1e-12 or below is the rounding of the recentring
-    shifts = [(s.mean_shift, s.norm_v) for s in trace.steps
-              if s.norm_v > 1e-13 and s.mean_shift > 1e-12]
-    if shifts:
-        trace.mean_shift_constant = float(max(m / v**2 for m, v in shifts))
 
 
 def epsilon_threshold_scan(family, config: KamConfig, lo: float = 0.0,
@@ -296,9 +317,9 @@ def epsilon_threshold_scan(family, config: KamConfig, lo: float = 0.0,
 
     `family` maps a scale s to an AnalyticCircleMap already tuned to the
     config's target rotation number; a scale counts as passing only when
-    the run ends in the linearized verdict.
+    the run ends in the linearized verdict; a scale whose map fails to
+    build, or that the iteration rejects, counts as failing.
     """
-    from .errors import CircleLabError
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         try:
@@ -336,25 +357,21 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
     the spectral projection of h_n at fresh argument points, a nontrivial
     consistency check of the averaging and projection pipeline.
 
-    Raises NotMonotone when Dh_n is not strictly positive on the grid.
+    Dh_n = (1 + Df + ... + Df^{n-1})/n >= 1/n, so h_n is monotone; raises
+    NotMonotone when its spectral projection fails validation.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.arange(grid) / grid
-    # h_n and its slope Dh_n = sum_{i<n} Df^i / n as running sums along one
-    # walk of the orbit
+    # h_n as a running sum along one walk of the orbit
     orb = _Orbit(f, x)
-    h_vals, dh = x.copy(), np.ones_like(x)
+    h_vals = x.copy()
     for i in range(1, n):
         h_vals += orb.advance(i).x
-        dh += orb.a
     h_vals /= n
-    dh /= n
     if rho is None:
         rho = _certified_rho(f)
     defect = float(np.max(np.abs((orb.advance(n).x - x) / n - rho)))
-    if float(dh.min()) <= 1e-12:
-        raise NotMonotone(f"averaged conjugacy has min slope {dh.min():.3e}")
     deg = min(grid // 3, 256)
     c = np.fft.rfft(h_vals - x) / grid
     try:

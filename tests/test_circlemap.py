@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
-                                 compose_project,
-                                 conjugate_project, derivative, evaluate,
-                                 inverse, iterate, log_derivative_variation,
-                                 map_from_json, orbit_lift,
-                                 orbit_log_derivative, rotation, strip_norm)
+from circlelab.circlemap import (CERT_GRID, AnalyticCircleMap, ArnoldFamily,
+                                 derivative, evaluate, inverse, iterate,
+                                 log_derivative_variation, map_from_json,
+                                 orbit_lift, orbit_log_derivative, rotation)
 from circlelab.errors import NotDiffeomorphism
 
 RNG = np.random.default_rng(42)
@@ -148,75 +146,6 @@ def test_inverse_converges_far_from_the_unit_interval(y):
     assert abs(evaluate(f, x) - y) <= 2 * np.spacing(abs(y))
 
 
-def test_compose_rotations_exact():
-    res = compose_project(rotation(0.25), rotation(0.5), 0)
-    assert res.map.mean_shift == pytest.approx(0.75, abs=1e-15)
-    assert res.map.degree == 0
-    assert res.tail_energy == 0.0
-
-
-def test_compose_with_identity_preserves_coefficients():
-    g = small_map(7, degree=4, scale=0.01)
-    res = compose_project(g, rotation(0.0), 4)
-    assert np.max(np.abs(res.map.coeffs - g.coeffs)) < 1e-12
-    assert res.map.mean_shift == pytest.approx(g.mean_shift, abs=1e-12)
-
-
-def test_rotation_compose_anything_exact():
-    f = small_map(9, degree=5, scale=0.015)
-    res = compose_project(rotation(0.3), f, 5)
-    assert np.max(np.abs(res.map.coeffs - f.coeffs)) < 1e-13
-    assert res.map.mean_shift == pytest.approx(f.mean_shift + 0.3, abs=1e-13)
-    assert res.tail_energy < 1e-28
-
-
-def test_conjugation_matches_pointwise_sampling():
-    f = ArnoldFamily(0.3).map_at(0.61)
-    h = AnalyticCircleMap(0.0, np.array([0.02 + 0.01j]))
-    res = conjugate_project(h, f, 16)
-    x = RNG.uniform(0, 1, 64)
-    direct = evaluate(h, evaluate(f, inverse(h, x)))
-    assert np.max(np.abs(evaluate(res.map, x) - direct)) < \
-        10 * math.sqrt(res.tail_energy) + 1e-12
-
-
-def test_tail_energy_reports_aggressive_truncation():
-    # composing two one-harmonic maps creates higher harmonics; projecting
-    # back to degree 1 discards them, and the tail energy must show it
-    f = ArnoldFamily(0.3).map_at(0.3)
-    res = compose_project(f, f, 1)
-    assert res.tail_energy > 0
-
-
-def test_strip_norm_single_mode():
-    eps, nu = 1e-3, 0.2
-    f = AnalyticCircleMap(0.0, np.array([eps]))
-    sn = strip_norm(f, rotation(0.0), nu)
-    assert sn == pytest.approx(2 * eps * math.exp(2 * math.pi * nu), rel=1e-12)
-
-
-def test_strip_norm_orders_and_monotonicity():
-    f = small_map(11, degree=8, scale=0.005)
-    g = rotation(0.4)
-    at0 = strip_norm(f, g, 0.0)
-    # the bound covers the real axis, where it is sampled directly
-    x = np.arange(4096) / 4096
-    assert at0 >= float(np.max(np.abs(evaluate(f, x) - evaluate(g, x))))
-    prev = at0
-    for nu in (0.05, 0.1, 0.2):
-        cur = strip_norm(f, g, nu)
-        assert cur >= prev
-        prev = cur
-    # strip-boundary samples at nu=0.1 stay under the coefficient bound
-    nu = 0.1
-    z = RNG.uniform(0, 1, 4096) + 1j * nu
-    k = np.arange(1, f.degree + 1)
-    vals = (f.mean_shift - g.mean_shift
-            + (np.exp(2j * np.pi * np.outer(z, k)) @ f.coeffs)
-            + (np.exp(-2j * np.pi * np.outer(np.conj(z), k)) @ np.conj(f.coeffs)))
-    assert strip_norm(f, g, nu) >= np.max(np.abs(vals)) - 1e-12
-
-
 def test_variation_rotation_zero():
     assert log_derivative_variation(rotation(0.37)) == 0.0
 
@@ -279,6 +208,22 @@ def test_certified_df_min_is_a_lower_bound():
     for seed in range(20):
         f = small_map(seed, degree=4, scale=0.02)
         assert 0.0 < f.df_min <= derivative(f, x, 1).min()
+
+
+def test_certification_refines_a_grid_whose_margin_fails():
+    # Df = 1 + 0.52 cos(2 pi 100 x) + 0.52 sin(2 pi 200 x) has min about
+    # 0.085: the coefficient bound (1 - 1.04) fails, and so does the
+    # 2048-point grid, whose Lipschitz margin is about 0.24
+    co = np.zeros(200, complex)
+    co[99] = -0.52j / (4 * math.pi * 100)
+    co[199] = -0.52 / (4 * math.pi * 200)
+    f = AnalyticCircleMap(0.3, co)
+    k = np.arange(1, 201)
+    margin = np.sum(2 * (2 * math.pi * k) ** 2 * np.abs(co)) / (2 * CERT_GRID)
+    coarse = np.arange(CERT_GRID) / CERT_GRID
+    assert 0.0 < derivative(f, coarse, 1).min() < margin
+    x = np.arange(1 << 18) / (1 << 18)
+    assert 0.0 < f.df_min <= derivative(f, x, 1).min()
 
 
 def test_affine_shift_family_retunes_constant_only():

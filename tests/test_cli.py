@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -24,8 +25,8 @@ def write_cfg(tmp_path, name, payload):
 
 def test_validate_clean_config():
     cfg = {"target": GOLDEN_CF, "family": {"kind": "arnold", "b": 0.05},
-           "kam": {"nu0": 0.02, "max_steps": 10, "divisor_floor": 1e-8,
-                   "threshold": 1e-11, "tune_tol": 1e-11}}
+           "kam": {"max_steps": 10, "divisor_floor": 1e-8, "threshold": 1e-11,
+                   "tune_tol": 1e-11}}
     assert validate_config("kam", cfg) == []
 
 
@@ -91,6 +92,7 @@ def test_kam_rotation_family_immediate(tmp_path):
     out = json.loads((tmp_path / "kam.json").read_text())
     assert out["verdict"] == "linearized"
     assert out["steps"] == 0
+    assert (out["grid"], out["counterterm"]) == (32, 0.0)
     trace = (tmp_path / "kam_trace.csv").read_text().strip().split("\n")
     assert trace[0].startswith("step,")
     assert trace[-1].startswith("# ")
@@ -267,7 +269,7 @@ def test_sample_configs_validate_clean(name, cmd):
     assert validate_config(cmd, json.loads((CONFIGS / name).read_text())) == []
 
 
-@pytest.mark.parametrize("key", ["strips", "base_truncation", "nu_0"])
+@pytest.mark.parametrize("key", ["strips", "base_truncation", "nu_0", "nu0"])
 def test_a_key_the_spec_does_not_hold_is_a_violation(tmp_path, capsys, key):
     cfg = {"target": GOLDEN_CF, "family": {"kind": "arnold", "b": 0.05},
            "kam": {"max_steps": 1, key: 0.01}}
@@ -402,14 +404,37 @@ def test_kam_on_an_unbracketable_target_ends_before_any_probe(tmp_path):
     assert not (tmp_path / "kam_trace.csv").exists()
 
 
-def test_kam_whose_composed_conjugacy_fails_ends_diverged(tmp_path):
+def test_kam_whose_step_fails_ends_diverged(tmp_path):
+    # tuned to [10, 10, ...] at b = 0.6, the second Newton step's K is not
+    # monotone; an unconverged run has no conjugacy, so no defect
     cfg = write_cfg(tmp_path, "c.json", {
-        "target": GOLDEN_CF, "family": {"kind": "arnold", "b": 0.95}})
+        "target": {"quotients": [10],
+                   "tail": {"kind": "periodic", "start": 1, "period": 1}},
+        "family": {"kind": "arnold", "b": 0.6}})
     assert main(["kam", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     out = json.loads((tmp_path / "kam.json").read_text())
-    assert (out["verdict"], out["steps"]) == ("diverged", 5)
-    assert out["note"].startswith("composed conjugacy failed validation: ")
-    assert len((tmp_path / "kam_trace.csv").read_text().splitlines()) == 7
+    assert (out["verdict"], out["steps"], out["grid"]) == ("diverged", 1, 32)
+    assert out["note"].startswith("correction too large for a step: ")
+    assert math.isnan(out["defect"]) and abs(out["counterterm"]) > 0.01
+    assert len((tmp_path / "kam_trace.csv").read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("map_, counterterm", [
+    ({"c": 0.3}, (math.sqrt(5.0) - 1.0) / 2.0 - 0.3), ("shifted", -4e-6)],
+    ids=["rotation", "shifted"])
+def test_kam_on_a_map_off_the_target_ends_diverged(tmp_path, tuned, map_,
+                                                    counterterm):
+    # rotation(0.3) and the golden-tuned b = 0.05 map moved 4e-6 both pass
+    # the rotation check; the counterterm a - c they need ends them diverged
+    if map_ == "shifted":
+        map_ = {"family": {"kind": "arnold", "b": 0.05,
+                           "a": tuned(0.05, "golden") + 4e-6}}
+    cfg = write_cfg(tmp_path, "c.json", {"target": GOLDEN_CF, "map": map_})
+    assert main(["kam", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    out = json.loads((tmp_path / "kam.json").read_text())
+    assert out["verdict"] == "diverged" and math.isnan(out["defect"])
+    assert out["counterterm"] == pytest.approx(counterterm, abs=1e-11)
+    assert "counterterm a - c = " in out["note"]
 
 
 def test_a_computation_that_fails_exits_with_an_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily, derivative,
-                                 evaluate, orbit_lift, rotation, strip_norm)
+                                 evaluate, orbit_lift, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import ConjugacyNotDiffeo, Resonance, SmallDivisor
 from circlelab.kam import (HermanResult, KamConfig, herman_average,
@@ -77,25 +77,37 @@ def test_zero_modes_skip_divisor_checks():
 
 def test_kam_step_fixed_point_of_scheme():
     step = kam_step(rotation(GOLDEN), GOLDEN, 8, 16, 0.02)
-    assert step.h.degree == 0
-    assert step.f_next.degree == 0
-    assert step.f_next.mean_shift == pytest.approx(GOLDEN, abs=1e-15)
+    assert step.K.degree == 0
+    assert step.K.mean_shift == 0.0
+    assert step.delta_a == 0.0
+    assert step.record.error == 0.0
 
 
 def test_step_record_holds_plain_floats():
     alpha = np.float64(GOLDEN)
     f = AnalyticCircleMap(alpha, np.array([-1j * 0.005]))
-    rec = kam_step(f, alpha, 8, 16, 0.02).record
-    assert type(rec.norm_v) is float
-    assert type(rec.mean_shift) is float
+    step = kam_step(f, alpha, 8, 16, 0.02)
+    assert type(step.record.error) is float
+    assert type(step.record.delta_a) is float
+    assert type(step.delta_a) is float
 
 
 def test_kam_step_quadratic_drop():
     f = AnalyticCircleMap(GOLDEN, np.array([-1j * 0.005]))  # 0.01 sin
-    step = kam_step(f, GOLDEN, 8, 16, 0.02)
-    norm2 = strip_norm(step.f_next, rotation(GOLDEN), 0.015)
-    assert norm2 < 5e-4  # order |v|^2 ~ 1e-4
-    assert step.record.norm_v > 1e-2 * 0.9
+    step = kam_step(f, GOLDEN, 8, 32, 0.02)
+    assert step.record.error > 1e-2 * 0.9
+    # the next step starts from K with the counterterm added to f
+    f1 = AnalyticCircleMap(GOLDEN + step.delta_a, f.coeffs)
+    assert kam_step(f1, GOLDEN, 8, 32, 0.02, step.K).record.error < 5e-4
+
+
+def test_kam_step_below_threshold_builds_no_correction():
+    f = AnalyticCircleMap(GOLDEN, np.array([-1j * 0.005]))
+    K = rotation(0.0)
+    step = kam_step(f, GOLDEN, 8, 32, 0.02, K, threshold=0.02)
+    assert step.K is K and step.delta_a == 0.0
+    assert 0.0 < step.record.error < 0.02
+    assert (step.record.delta_k, step.record.tail_energy) == (0.0, 0.0)
 
 
 def test_oversized_correction_rejected():
@@ -103,7 +115,7 @@ def test_oversized_correction_rejected():
     # the diffeomorphism budget
     f = AnalyticCircleMap(0.02, np.array([-1j * 0.012]))
     with pytest.raises(ConjugacyNotDiffeo):
-        kam_step(f, 0.02, 4, 8, 0.02)
+        kam_step(f, 0.02, 4, 16, 0.02)
 
 
 def test_iterate_rotation_zero_steps():
@@ -119,10 +131,9 @@ def test_iterate_linearizes_small_arnold(arnold_b005_golden):
     assert len(res.trace.steps) <= 6
     assert res.trace.defect < 1e-8
     assert res.trace.decay_exponent >= 1.5
-    # mean shift is quadratically small along the run, down to the floor
-    # set by the tuning mismatch |rho(f) - alpha|
+    # the counterterm's step is a mean of -E weighted by 1 / K' > 0
     for s in res.trace.steps:
-        assert s.mean_shift <= 10.0 * s.norm_v ** 2 + 5e-13
+        assert s.delta_a <= s.error
 
 
 def test_iterate_rejects_untuned_map():
@@ -169,57 +180,84 @@ def test_config_violations_reported():
     assert KamConfig(ContinuedFraction.golden()).violations() == []
 
 
-@pytest.mark.parametrize("overrides, steps, note", [
-    ({"max_steps": 1}, 1, "step budget exhausted before reaching the threshold"),
-    ({"nu0": 0.2}, 4, "nonlinearity grew on two consecutive steps"),
-], ids=["budget", "growth"])
-def test_iterate_ends_diverged_on_budget_or_growth(arnold_b005_golden,
-                                                   overrides, steps, note):
+def test_iterate_ends_diverged_on_budget(arnold_b005_golden):
     res = kam_iterate(arnold_b005_golden,
-                      KamConfig(ContinuedFraction.golden(), **overrides))
+                      KamConfig(ContinuedFraction.golden(), max_steps=2))
     assert (res.verdict, len(res.trace.steps), res.trace.note) == (
-        "diverged", steps, note)
+        "diverged", 2, "step budget exhausted before reaching the threshold")
+    # one pair of errors: the exponent is the ratio of their logarithms
+    e0, e1 = (s.error for s in res.trace.steps)
+    assert res.trace.decay_exponent == math.log(e1) / math.log(e0)
 
 
-@pytest.mark.parametrize("b, quotient, steps, note", [
-    (0.6, 10, 0, "conjugated map failed validation: "),
-    (0.9, 5, 1, "correction too large for a step: "),
-], ids=["conjugated", "correction"])
-def test_iterate_ends_diverged_when_a_step_builds_no_map(b, quotient, steps,
-                                                         note):
+# the same ending at b = 0.6 and [10, 10, ...] is test_cli.py's
+@pytest.mark.parametrize("b, quotient", [(0.9, 5)], ids=["correction"])
+def test_iterate_ends_diverged_when_a_step_builds_no_map(b, quotient):
+    # the second Newton step from the identity overshoots: K + K' W is no
+    # longer monotone
     target = ContinuedFraction.periodic([quotient])
     a, _ = tune_parameter(ArnoldFamily(b), target, tol=1e-11)
     res = kam_iterate(ArnoldFamily(b).map_at(a), KamConfig(target))
-    assert (res.verdict, len(res.trace.steps)) == ("diverged", steps)
-    assert res.trace.note.startswith(note)
-
-
-def test_iterate_ends_diverged_when_the_composed_conjugacy_fails(tuned):
-    # at b = 0.95 every step builds its maps, but the fifth correction
-    # composed onto the conjugacy so far is no longer monotone
-    f = ArnoldFamily(0.95).map_at(tuned(0.95, "golden"))
-    res = kam_iterate(f, KamConfig(ContinuedFraction.golden()))
-    assert (res.verdict, len(res.trace.steps)) == ("diverged", 5)
+    assert (res.verdict, len(res.trace.steps)) == ("diverged", 1)
     assert res.trace.note.startswith(
-        "composed conjugacy failed validation: certified min Df = ")
+        "correction too large for a step: certified min Df = ")
+
+
+def test_iterate_ends_diverged_when_the_inverse_fails_validation(tuned):
+    # at b = 0.99 K solves the equation on 8192 points, but K^-1 sampled
+    # there is not resolved by its modes below 4096: no certified h
+    f = ArnoldFamily(0.99).map_at(tuned(0.99, "golden"))
+    res = kam_iterate(f, KamConfig(ContinuedFraction.golden()))
+    assert (res.verdict, res.trace.grid, res.h) == ("diverged", 8192, None)
+    assert res.trace.steps[-1].error < 1e-9
+    assert math.isnan(res.trace.defect)
+    assert res.trace.note.startswith(
+        "K^-1 on 8192 points failed validation: certified min Df = ")
+
+
+def _trig_lift(c, coeffs, x):
+    """x + c + sum_k 2 Re(coeffs[k-1] e^(2 pi i k x)), as a dense matrix."""
+    k = np.arange(1, len(coeffs) + 1)
+    return x + c + 2.0 * np.real(np.exp(2j * np.pi * np.outer(x, k)) @ coeffs)
+
+
+@pytest.mark.parametrize("target, b", [
+    ("golden", 0.6), ("golden", 0.9), ("golden", 0.95), ("sqrt2", 0.6),
+    ("sqrt2", 0.9)])
+def test_iterate_linearizes_where_the_old_loop_diverged(tuned, target, b):
+    # the conjugacy-and-compose loop this scheme replaced ended diverged on
+    # every one of these maps
+    cf = {"golden": ContinuedFraction.golden(),
+          "sqrt2": ContinuedFraction.periodic([2])}[target]
+    f = ArnoldFamily(b).map_at(tuned(b, target))
+    res = kam_iterate(f, KamConfig(cf))
+    assert res.verdict == "linearized"
+    assert res.trace.defect <= 1e-11
+    alpha = 0.5 * sum(cf.value_interval())
+    x = (np.arange(4096) + 0.37) / 4096
+    h = res.h
+    fx = _trig_lift(f.mean_shift, f.coeffs, x)
+    resid = (_trig_lift(h.mean_shift, h.coeffs, fx)
+             - _trig_lift(h.mean_shift, h.coeffs, x) - alpha)
+    assert float(np.max(np.abs(resid))) < 1e-9
 
 
 def test_trace_csv_round_trip(arnold_b005_golden):
     res = kam_iterate(arnold_b005_golden, KamConfig(ContinuedFraction.golden()))
     text = res.trace.to_csv()
     lines = text.strip().split("\n")
-    assert lines[0].startswith("step,norm_v")
+    assert lines[0].startswith("step,grid,error")
     assert len(lines) == len(res.trace.steps) + 2
     footer = json.loads(lines[-1].lstrip("# "))
     assert footer["verdict"] == "linearized"
 
 
 def test_trace_csv_writes_every_field():
-    steps = [StepRecord(0, 0.1, 0.2, 1e-3, 2.5e-20, 0.3),
-             StepRecord(1, 1 / 3, 1e-7, 0.0, 7e-30, math.pi / 10)]
+    steps = [StepRecord(0, 32, 0.1, 0.2, 1e-3, 2.5e-20, 0.3),
+             StepRecord(1, 64, 1 / 3, 1e-7, 0.0, 7e-30, math.pi / 10)]
     trace = KamTrace(steps, verdict="diverged", note="a note", defect=1e-12,
-                     decay_exponent=1.25, quad_constant=2.0,
-                     mean_shift_constant=17.5)
+                     decay_exponent=1.25, quad_constant=2.0, grid=128,
+                     counterterm=-2.5e-13)
     lines = trace.to_csv().split("\n")
     assert lines[0].split(",") == [f.name for f in fields(StepRecord)]
     assert [tuple(float(v) for v in row.split(",")) for row in lines[1:3]] == \
@@ -234,8 +272,8 @@ def test_trace_quadratic_budget_holds_with_recorded_constant(arnold_b005_golden)
     res = kam_iterate(arnold_b005_golden, KamConfig(ContinuedFraction.golden()))
     c = res.trace.quad_constant
     assert math.isfinite(c) and c > 0
-    norms = [s.norm_v for s in res.trace.steps]
-    for a, b in zip(norms, norms[1:]):
+    errors = [s.error for s in res.trace.steps]
+    for a, b in zip(errors, errors[1:]):
         if a > 1e-13 and b > 1e-13:
             assert b <= c * a**1.5 * (1 + 1e-12)
 
@@ -246,15 +284,22 @@ def test_defect_matches_direct_conjugation(arnold_b005_golden):
     assert d <= res.trace.defect * 1.5 + 1e-12
 
 
-def test_mean_shift_constant_skips_rounding_noise(arnold_b005_golden):
-    # the last step's mean shift is ~1e-13 of rounding; fitted on it the
-    # constant read 18
-    trace = kam_iterate(arnold_b005_golden,
-                        KamConfig(ContinuedFraction.golden())).trace
-    c = trace.mean_shift_constant
-    assert c < 5
-    assert any(s.mean_shift > 1e-12 and s.mean_shift / s.norm_v**2 == c
-               for s in trace.steps)
+def test_counterterm_names_the_tuning_mismatch(tuned):
+    # a tuned map needs no parameter shift beyond the tuning tolerance; a
+    # map 4e-6 off its tuned parameter passes the rotation check's 1e-5, but
+    # the equation is then solved for f shifted back, not for f: the run
+    # ends diverged and names the counterterm
+    a = tuned(0.05, "golden")
+    cfg = KamConfig(ContinuedFraction.golden())
+    trace = kam_iterate(ArnoldFamily(0.05).map_at(a), cfg).trace
+    assert trace.verdict == "linearized" and abs(trace.counterterm) < 1e-11
+    res = kam_iterate(ArnoldFamily(0.05).map_at(a + 4e-6), cfg)
+    assert (res.verdict, res.h) == ("diverged", None)
+    assert res.trace.steps[-1].error >= cfg.threshold
+    assert res.trace.counterterm == pytest.approx(-4e-6, abs=1e-11)
+    assert math.isnan(res.trace.defect)
+    assert res.trace.note.startswith(
+        "the equation holds for f + (a - c) with counterterm a - c = -4.000e-06")
 
 
 def _herman_stacked(f, n, rho, grid=1024):
@@ -330,8 +375,17 @@ def test_epsilon_threshold_scan_mechanics(tuned):
         return ArnoldFamily(b).map_at(tuned(b, "golden", 1e-10)) if b else \
             rotation(tuned(0.0, "golden"))
 
-    cfg = KamConfig(ContinuedFraction.golden(), max_steps=8, threshold=1e-9)
-    thr = epsilon_threshold_scan(fam, cfg, lo=0.0, hi=0.12, steps=2)
-    # everything this small linearizes, so the bisection climbs to the top
-    assert thr == pytest.approx(0.09)
+    cfg = KamConfig(ContinuedFraction.golden(), max_steps=5)
+    thr = epsilon_threshold_scan(fam, cfg, lo=0.0, hi=0.95, steps=2)
+    # b = 0.475 needs more than five steps, so the bisection drops to
+    # b = 0.2375, which five steps linearize
+    assert thr == pytest.approx(0.2375)
     assert kam_iterate(fam(thr), cfg).verdict == "linearized"
+    assert kam_iterate(fam(0.475), cfg).verdict == "diverged"
+    # a scale the iteration rejects counts as failing: the parameter tuned
+    # at b = 0.05 is off the target at every scale the bisection tries
+    a = tuned(0.05, "golden")
+    with pytest.raises(ValueError, match="tune the map first"):
+        kam_iterate(ArnoldFamily(0.475).map_at(a), cfg)
+    assert epsilon_threshold_scan(lambda s: ArnoldFamily(s).map_at(a), cfg,
+                                  lo=0.0, hi=0.95, steps=2) == 0.0

@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily,
-                                 conjugate_project, iterate, rotation)
+from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily, evaluate,
+                                 inverse, iterate, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
 from circlelab.rotation import (RATIONAL_TOL, _estimate_from, _ReturnScan,
@@ -167,7 +167,10 @@ def test_x0_independence_within_bounds():
 def test_conjugation_invariance_of_rotation_number():
     f = ArnoldFamily(0.2).map_at(0.61)
     h = AnalyticCircleMap(0.0, np.array([0.015 + 0.01j]))
-    g = conjugate_project(h, f, 16).map
+    # h o f o h^{-1} sampled through `inverse` and projected onto 16 modes
+    x = np.arange(64) / 64
+    c = np.fft.rfft(evaluate(h, evaluate(f, inverse(h, x))) - x) / 64
+    g = AnalyticCircleMap(c[0].real, c[1:17])
     ef = rho_interval(f, 1e-8)
     eg = rho_interval(g, 1e-8)
     # conjugation changes the map but not the rotation number; the projected
