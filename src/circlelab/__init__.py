@@ -22,7 +22,7 @@ from .arithmetic import (ArithmeticVerdict, ClassifyConfig, brjuno_function,
 from .circlemap import (AnalyticCircleMap, ArnoldFamily, AffineShiftFamily,
                         derivative, evaluate, inverse, iterate,
                         log_derivative_variation, map_from_json, orbit_lift,
-                        orbit_log_derivative, rotation)
+                        orbit_log_derivative)
 from .contfrac import ContinuedFraction, Convergent, cf_expand, convergents
 from .geometry import (GeometryReport, PartitionLevel, beta_recursion_check,
                        bootstrap_schedule, build_partition, c1_criterion,
@@ -47,7 +47,7 @@ __all__ = [
     # maps and calculus
     "AnalyticCircleMap", "ArnoldFamily", "AffineShiftFamily", "derivative",
     "evaluate", "inverse", "iterate", "log_derivative_variation",
-    "map_from_json", "orbit_lift", "orbit_log_derivative", "rotation",
+    "map_from_json", "orbit_lift", "orbit_log_derivative",
     # rotation numbers
     "ClosestReturn", "RotationEstimate", "closest_return_batch",
     "closest_returns", "eq_rot_check",

@@ -16,11 +16,10 @@ All of these readings live on one orbit of one grid, and a report walks it
 once: `circlemap._Orbit` steps the base grid to q_{n_max+1}, and as the
 walk passes each mark it keeps only what the levels read -- beta_n and
 ln Df^{q_n} at j = q_n, |D ln Df^j| at the growth samples, and the power
-sums as prefixes of one running sum.  The Denjoy searches of all levels run
-in lockstep, and one orbit of 0 serves every level's tiling.  The report
-reads that one walk directly; `build_partition`, `denjoy_checks` and
-`derivative_growth_check` each walk their own and return the report's
-results bit for bit.
+sums as prefixes of one running sum.  One orbit of 0 serves every level's
+tiling.  The report reads that one walk directly; `build_partition`,
+`denjoy_checks` and `derivative_growth_check` each walk their own and
+return the report's results bit for bit.
 """
 
 from __future__ import annotations
@@ -237,54 +236,6 @@ def build_partition(f: AnalyticCircleMap, n: int,
 # per-level inequality checks
 
 
-def _denjoy_maxima(f: AnalyticCircleMap, levels: Sequence[PartitionLevel]
-                   ) -> list[tuple[float, float]]:
-    """(max |ln Df^{q_n}|, witness x) per level: the grid max of
-    `level.log_df` sharpened by golden-section searches around the three top
-    grid candidates.  The searches of every level run in lockstep: each of
-    the 13 rounds walks all levels' probe points (both probes of every
-    candidate, then the three midpoints) together to the largest q_n and
-    reads each level's values at its own q_n.  A refined value replaces the
-    running max only when strictly larger, candidates taken from the
-    smallest grid value up."""
-    qs = np.array([lev.q for lev in levels])
-
-    def ln_df_at(x: np.ndarray) -> np.ndarray:  # row i at q_n of level i
-        walk = _Orbit(f, x.ravel())
-        out = np.empty_like(x)
-        for q in sorted(set(qs.tolist())):
-            rows = qs == q
-            out[rows] = walk.advance(q).ln.reshape(x.shape)[rows]
-        return out
-
-    best, wit, lo, hi = [], [], [], []
-    for lev in levels:
-        g = np.abs(lev.log_df)
-        idx = np.argsort(g)[-3:]
-        best.append(float(np.max(g)))
-        wit.append(float(lev.grid[np.argmax(g)]))
-        spread = 1.0 / lev.grid.size
-        lo.append(lev.grid[idx] - spread)
-        hi.append(lev.grid[idx] + spread)
-    lo, hi = np.array(lo), np.array(hi)
-    for _ in range(12):
-        m1 = lo + 0.382 * (hi - lo)
-        m2 = lo + 0.618 * (hi - lo)
-        v1, v2 = np.split(np.abs(ln_df_at(np.concatenate([m1, m2], axis=1))),
-                          2, axis=1)
-        left = v1 < v2
-        lo = np.where(left, m1, lo)
-        hi = np.where(left, hi, m2)
-    xs = 0.5 * (lo + hi)
-    out = []
-    for b, w, x_row, v_row in zip(best, wit, xs, np.abs(ln_df_at(xs))):
-        for x, v in zip(x_row, v_row):
-            if v > b:
-                b, w = float(v), float(x)
-        out.append((b, w))
-    return out
-
-
 @dataclass(frozen=True)
 class DenjoyChecks:
     n: int
@@ -294,12 +245,15 @@ class DenjoyChecks:
     var: float
 
 
-def _denjoy_record(n: int, level: PartitionLevel, var: float,
-                   maximum: tuple[float, float]) -> DenjoyChecks:
-    mx, wit = maximum
+def _denjoy_record(n: int, level: PartitionLevel, var: float) -> DenjoyChecks:
+    """max |ln Df^{q_n}| over the level's grid, witnessed by the grid point
+    of its first argmax."""
+    vals = np.abs(level.log_df)
+    i = int(np.argmax(vals))
+    mx = float(vals[i])
     return DenjoyChecks(n=n, classical_residual=mx - var,
                         improved_constant=mx / math.sqrt(level.M),
-                        witness=wit, var=var)
+                        witness=float(level.grid[i]), var=var)
 
 
 def denjoy_checks(f: AnalyticCircleMap, n: int,
@@ -307,8 +261,7 @@ def denjoy_checks(f: AnalyticCircleMap, n: int,
     """Classical distortion bound (must hold up to round-off) and the
     empirical constant of its partition-refined sharpening, from the level's
     ln Df^{q_n} grid."""
-    return _denjoy_record(n, level, log_derivative_variation(f),
-                          _denjoy_maxima(f, [level])[0])
+    return _denjoy_record(n, level, log_derivative_variation(f))
 
 
 @dataclass(frozen=True)
@@ -515,11 +468,10 @@ def geometry_report(f: AnalyticCircleMap, n_max: int, smoothness: int = 3,
     The grid is walked once, to q_{n_max+1} (to q_{n_max} with
     checks=False, at order 0 and so outside the blow-up guard), and the
     report reads that walk directly: every level, its Denjoy grid and its
-    growth record come off the one orbit as it passes their marks, the
-    Denjoy searches of all levels run together, and one orbit of 0 serves
-    every tiling.  The results are those of `build_partition`,
-    `denjoy_checks` and `derivative_growth_check` (order 1), each of which
-    walks its own orbit when called alone."""
+    growth record come off the one orbit as it passes their marks, and one
+    orbit of 0 serves every tiling.  The results are those of
+    `build_partition`, `denjoy_checks` and `derivative_growth_check`
+    (order 1), each of which walks its own orbit when called alone."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     rho = rho_interval(f, 1e-10).value
@@ -532,8 +484,7 @@ def geometry_report(f: AnalyticCircleMap, n_max: int, smoothness: int = 3,
     rep = GeometryReport(levels=levels, rho=rho, ratios=ratios,
                          trend=ratio_trend(ratios), smoothness=smoothness)
     if checks:
-        rep.denjoy = [_denjoy_record(lev.n, lev, var, top) for lev, top
-                      in zip(levels, _denjoy_maxima(f, levels))]
+        rep.denjoy = [_denjoy_record(lev.n, lev, var) for lev in levels]
         rep.growth = [walk.growth[n] for n in ns]
         rep.beta_rec = [beta_recursion_check(f, lev_n.n, lev_n, lev_n1,
                                              smoothness)

@@ -432,7 +432,9 @@ def rho_interval(f: AnalyticCircleMap, eps: float) -> RotationEstimate:
     """Closest-return estimate of the orbit from x0 = 0, refined until its
     certified bracket is narrower than eps (or the orbit cap / the _STALL
     guard ends the scan).  The bracket is a property of f: the sign of
-    f^q - id - p does not depend on the base point.
+    f^q - id - p does not depend on the base point.  A scan with no usable
+    return falls back to a Birkhoff average of at most _N_CAP steps, whose
+    error bound can be wider than eps.
     PeriodicOrbitDetected propagates."""
     scan = _scan_returns(f, 0.0, _N_CAP, lambda s: s.width() <= eps,
                          RATIONAL_TOL, _STALL)

@@ -14,7 +14,8 @@ from circlelab.arithmetic import (ClassifyConfig, brjuno_function,
                                   condition_h_check, diophantine_estimate,
                                   h_recursion_states, r_alpha)
 from circlelab.contfrac import ContinuedFraction, RuleTail
-from circlelab.errors import ExactnessExhausted, NotBrjuno, RationalDetected
+from circlelab.errors import (DepthExhausted, ExactnessExhausted, NotBrjuno,
+                              RationalDetected)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -123,6 +124,22 @@ def test_diophantine_log_data_values_are_lower_bounds(monkeypatch):
                 assert v <= r, (sigma, k)
                 low = 0.5 if k >= 11 else 1.0 - 1e-12  # k = 11 needs q_12
                 assert v >= r * low * (1 - 1e-12), (sigma, k)
+
+
+def test_diophantine_values_of_a_finite_fraction():
+    # [0; 2, 3, 4] = 13/30 has convergents 1/2, 3/7 and itself: at k = 2
+    # the Gauss iterate alpha_3 is 0, at k = 3 p_3/q_3 is alpha and the value
+    # is 0, and past the last quotient the depth runs out
+    cf = ContinuedFraction([2, 3, 4])
+    est = diophantine_estimate(cf, 0.0, 3)
+    alpha = Fraction(13, 30)
+    exact = [q * q * abs(alpha - Fraction(p, q))
+             for p, q in ((1, 2), (3, 7), (13, 30))]
+    assert exact == [Fraction(4, 15), Fraction(7, 30), 0]
+    assert est.values == (0.26666666666666644, 0.23333333333333314, 0.0)
+    assert all(v <= r for v, r in zip(est.values, exact))
+    with pytest.raises(DepthExhausted):
+        diophantine_estimate(cf, 0.0, 4)
 
 
 def test_diophantine_exp_rule_decays():

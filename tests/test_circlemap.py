@@ -1,10 +1,13 @@
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circlelab
+import circlelab.rotation as R
 from circlelab.circlemap import (CERT_GRID, AnalyticCircleMap, ArnoldFamily,
                                  derivative, evaluate, inverse, iterate,
                                  log_derivative_variation, map_from_json,
@@ -314,3 +317,13 @@ def test_orbit_log_derivative_matches_per_order_calls(order):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
     assert orbit_log_derivative(f, 0.3, 12, order) == pytest.approx(
         float(_log_derivative_per_order(f, 0.3, 12, order)), rel=1e-13, abs=1e-13)
+
+
+def test_package_exports_no_module_but_errors():
+    """`__all__` names values, not submodules: the map `rotation` lives at
+    `circlelab.circlemap.rotation`, and `circlelab.rotation` is the
+    rotation-number module."""
+    modules = [name for name in circlelab.__all__
+               if isinstance(getattr(circlelab, name), types.ModuleType)]
+    assert modules == ["errors"]
+    assert R.rho_interval is circlelab.rho_interval

@@ -238,6 +238,23 @@ def test_validate_bounds_every_count_a_runner_rejects(cmd, section, key, value,
     assert f"{section}.{key}: must be >= {least}" in validate_config(cmd, cfg)
 
 
+@pytest.mark.parametrize("cmd,cfg,message", [
+    ("tune", {"target": GOLDEN_CF, "family": {"kind": "arnold"}},
+     "family: 'b'"),
+    ("classify", {"target": {"quotients": [1], "tail": {"kind": "spiral"}}},
+     "target: unknown tail kind 'spiral'"),
+    ("tongue-scan", {"scan": {"b_max": 1.0}}, "scan.b_max: must stay below 1"),
+    ("tongue-scan", {"scan": {"nb": 0}}, "scan.na/nb: grid must be nonempty"),
+    ("bootstrap", {"bootstrap": {"r": 2.5, "sigma": 0.5}},
+     "bootstrap.r: window empty, needs r > 2 + sigma"),
+    ("nope", {}, "unknown subcommand 'nope'"),
+])
+def test_validate_names_each_violation(tmp_path, capsys, cmd, cfg, message):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    assert main(["validate", cmd, "--config", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"violations": [message]}
+
+
 @pytest.mark.parametrize("cmd", ["kam", "geometry"])
 def test_validate_needs_map_or_family(cmd):
     bad = validate_config(cmd, {"target": GOLDEN_CF})

@@ -79,42 +79,15 @@ def test_arnold_classical_denjoy(arnold_report):
         assert dj.classical_residual <= 1e-8
 
 
-def _sequential_abs_max(fn, grid_vals, grid_x, spread):
-    """Reference search: one golden-section search per top grid candidate,
-    run one after another on one or two points at a time."""
-    best = float(np.max(np.abs(grid_vals)))
-    wit = float(grid_x[np.argmax(np.abs(grid_vals))])
-    for i in np.argsort(np.abs(grid_vals))[-3:]:
-        lo, hi = grid_x[i] - spread, grid_x[i] + spread
-        for _ in range(12):
-            m1 = lo + 0.382 * (hi - lo)
-            m2 = lo + 0.618 * (hi - lo)
-            v1, v2 = np.abs(fn(np.array([m1, m2])))
-            if v1 < v2:
-                lo = m1
-            else:
-                hi = m2
-        xs = 0.5 * (lo + hi)
-        vs = float(np.abs(fn(np.array([xs])))[0])
-        if vs > best:
-            best, wit = vs, xs
-    return best, wit
-
-
-def test_denjoy_search_matches_sequential_reference(arnold_b03_golden,
-                                                    arnold_report):
-    f = arnold_b03_golden
-    for lev in arnold_report.levels[:6]:
-        dj = denjoy_checks(f, lev.n, lev)
-        mx, wit = _sequential_abs_max(
-            lambda t: orbit_log_derivative(f, t, lev.q, 0),
-            orbit_log_derivative(f, lev.grid, lev.q, 0), lev.grid,
-            1.0 / lev.grid.size)
-        assert dj.witness == wit
-        assert dj.improved_constant == pytest.approx(
-            mx / math.sqrt(lev.M), rel=1e-15, abs=0.0)
-        assert dj.classical_residual == pytest.approx(
-            mx - dj.var, rel=0.0, abs=2e-15 * max(mx, dj.var))
+def test_denjoy_maximum_is_the_grid_maximum(arnold_report):
+    """Each level's Denjoy maximum is max |ln Df^{q_n}| over its own grid,
+    witnessed by the grid point of the first argmax."""
+    for lev, dj in zip(arnold_report.levels, arnold_report.denjoy):
+        vals = np.abs(lev.log_df)
+        i = int(np.argmax(vals))
+        assert dj.witness == lev.grid[i]
+        assert dj.classical_residual == vals[i] - dj.var
+        assert dj.improved_constant == vals[i] / math.sqrt(lev.M)
 
 
 def test_arnold_improved_denjoy_stability(arnold_report):

@@ -160,6 +160,14 @@ def test_add_float_absorption_and_moderate():
     assert big.add_float(1e6).level == big.level
 
 
+def test_add_float_past_float_range():
+    # e^709.5 and e^720 overflow to_float, so the sum is taken on the log:
+    # e^709.5 - 1.5e308 is negative and clamps to 0, e^720 - 1e308 is not
+    assert LevelReal.from_float(709.5).exp().add_float(-1.5e308) is ZERO
+    x = LevelReal.from_float(720.0).exp().add_float(-1e308)
+    assert close_mp(x, mp.exp(720) - mp.mpf("1e308"))
+
+
 def test_nudge_up_strictly_increases():
     for x in [ZERO, ONE, LevelReal.from_float(511.9), LevelReal.from_float(1e300)]:
         assert x.nudge_up() > x

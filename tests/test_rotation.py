@@ -463,3 +463,14 @@ def test_rho_interval_takes_f_and_eps_only():
     # argument is an error, not a cap
     with pytest.raises(TypeError):
         rho_interval(ArnoldFamily(0.3).map_at(0.61), 1e-6, 400000)
+
+
+def test_rho_interval_falls_back_to_birkhoff_past_the_orbit_cap():
+    # a rotation by 1e-9 has no closest return within the orbit cap, so the
+    # estimate is a Birkhoff average over the cap, whose 1/n bound is wider
+    # than the eps asked for
+    est = rho_interval(rotation(1e-9), 1e-10)
+    assert est.method == "birkhoff"
+    assert est.n == _N_CAP == 8_000_000
+    assert est.error_bound == 1.25e-7
+    assert est.value == pytest.approx(1e-9, abs=est.error_bound)
