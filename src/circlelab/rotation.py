@@ -26,8 +26,13 @@ zero, and floor(y) is 0 for y in [0, 1).
 Many short scans, such as the cells of a tongue picture, run as one batch
 (`closest_return_batch`): every map's orbit is one entry of a numpy array,
 stepped with the same float operations as the scalar loop (libm cosine and
-sine, no complex Horner sweep, whose rounding depends on the array length),
-so each result equals the per-map `rotation_number_closest_return`.
+sine, no complex Horner sweep, whose rounding depends on the array length;
+a batch of Arnold maps takes the scalar loop's sine-only step), so each
+result equals the per-map `rotation_number_closest_return`.  The batch keeps
+each map's return state in arrays indexed by map, updated by masked array
+operations, and builds records only for the overall-return chains its
+estimates read; both it and the scalar scan build every estimate through
+`_estimate_from`.
 """
 
 from __future__ import annotations
@@ -136,6 +141,14 @@ class _ReturnScan:
     def width(self) -> float:
         br = self.bracket()
         return math.inf if br is None else br[1] - br[0]
+
+    def estimate(self) -> Optional[RotationEstimate]:
+        """`_estimate_from` of this scan, or None while a side is empty."""
+        lo, up = self.lower, self.upper
+        if lo is None or up is None:
+            return None
+        return _estimate_from((lo.q, lo.p), (up.q, up.p),
+                              self.overall_returns(), self.returns[-1].q)
 
 
 def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
@@ -286,17 +299,17 @@ def quotients_from_returns(returns: list[ClosestReturn]) -> Optional[list[int]]:
     return quots if all(a >= 1 for a in quots) else None
 
 
-def _estimate_from(scan: _ReturnScan) -> Optional[RotationEstimate]:
-    """The mediant estimate of the bracket (n: the last return), or None."""
-    br = scan.bracket()
-    if br is None:
-        return None
-    lo, hi = br
-    ra, rb = scan.lower, scan.upper
-    value = ((ra.p + rb.p) / (ra.q + rb.q)) % 1.0
-    quots = quotients_from_returns(scan.overall_returns())
-    return RotationEstimate(value=value, method="closest_return",
-                            n=scan.returns[-1].q, error_bound=hi - lo,
+def _estimate_from(lower: tuple, upper: tuple, overall: list,
+                   last_q: int) -> RotationEstimate:
+    """The mediant estimate of the bracket p/q < rho < p'/q' of the best
+    returns lower = (q, p) and upper = (q', p'), with the quotients of the
+    overall-return chain and n = last_q, the last recorded return."""
+    (qa, pa), (qb, pb) = lower, upper
+    lo, hi = pa / qa, pb / qb
+    quots = quotients_from_returns(overall)
+    return RotationEstimate(value=((pa + pb) / (qa + qb)) % 1.0,
+                            method="closest_return", n=last_q,
+                            error_bound=hi - lo,
                             extracted_quotients=tuple(quots) if quots else None,
                             bracket=(lo, hi))
 
@@ -315,7 +328,7 @@ def rotation_number_closest_return(f: AnalyticCircleMap, x0: float = 0.0,
     base = _walk(f, x0, burn_in).y if f.degree else x0
     scan = _scan_returns(f, base, n_max,
                          lambda s: s.overall_count >= depth + 2, RATIONAL_TOL)
-    est = _estimate_from(scan)
+    est = scan.estimate()
     if est is None:
         return rotation_number_birkhoff(f, x0, n_max)
     return est
@@ -325,10 +338,10 @@ def _batch_mode_sum(c: np.ndarray, ca: np.ndarray, cb: np.ndarray,
                     y: np.ndarray) -> np.ndarray:
     """The scan's inlined mode sum at one point per map, with the scalar
     loop's float operations in its order: cosine and sine are libm's, and a
-    zero-padded mode adds an exact 0.0.  An Arnold map's term ca*cos(t),
-    with ca = +-0.0, is computed here too and adds an exact zero, so the sum
-    equals the scalar loop's sine-only step.  The batch keeps its
-    unconditional floor: there floor(y) = 0 subtracts exactly."""
+    zero-padded mode adds an exact 0.0.  A batch with no cosine weight (every
+    Arnold slice) does not come here: it takes the scalar loop's sine-only
+    step.  The batch keeps its unconditional floor: there floor(y) = 0
+    subtracts exactly."""
     s = c.copy()
     for k in range(ca.shape[0]):
         t = (TWO_PI * (k + 1)) * y
@@ -347,10 +360,20 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     base points are reduced to [0, 1) once, and the burn-in and the return
     scan both step that reduced orbit, as the scalar walk does.  Every entry
     takes the float operations of the scalar scan, so a result does not
-    depend on the other maps in the batch.  A return that beats its map's
-    threshold goes to that map's _ReturnScan; a map leaves the walk on a
-    periodic orbit or once its scan has depth + 2 overall returns.
-    Degree-0 maps take the exact closed-form scan one by one.
+    depend on the other maps in the batch; a batch of one-mode maps with no
+    cosine weight (every Arnold slice) steps by c + cb sin(2 pi y), the
+    scalar loop's sine-only step, and any other batch by `_batch_mode_sum`.
+
+    Each map's return state lives in arrays indexed by map, as
+    `_ReturnScan.offer` would keep it: the side thresholds (best |e| times
+    _IMPROVE), the (q, p) of each side's best return, the q of the last
+    recorded return, the count of overall returns and their chain (q, p, e),
+    depth + 2 rows, which a map cannot overflow because it leaves the walk
+    at depth + 2 overall returns.  A step updates the maps whose return beats
+    a threshold with masked array operations; Python sees only a locked map
+    (|e| < RATIONAL_TOL) and the maps that leave.  The estimates are built
+    once, at the end, by `_estimate_from`.  Degree-0 maps take the exact
+    closed-form scan one by one.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -379,19 +402,31 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     for j, i in enumerate(live):
         for k, (_, a, b) in enumerate(maps[i]._scalar_modes):
             ca[k, j], cb[k, j] = a, b
+    if kmax == 1 and not ca.any():
+        def mode_sum(y):  # reads c and cb as the walk narrows them
+            return c + cb[0] * np.sin(TWO_PI * y)
+    else:
+        def mode_sum(y):
+            return _batch_mode_sum(c, ca, cb, y)
     y = np.array([float(x0s[i]) for i in live])
     y -= np.floor(y)
     for _ in range(burn_in):
-        y += _batch_mode_sum(c, ca, cb, y)
+        y += mode_sum(y)
         y -= np.floor(y)
     y0 = y - np.floor(y)
     y, w = y0.copy(), np.zeros_like(y0)
     thr_pos = np.full_like(y0, math.inf)
     thr_neg = np.full_like(y0, math.inf)
-    scans = {i: _ReturnScan() for i in live}
+    # the return state, indexed by map
+    side_q = np.zeros((2, len(maps)), np.int64)  # rows: lower, upper
+    side_p = np.zeros((2, len(maps)))
+    last_q = np.zeros(len(maps), np.int64)
+    count = np.zeros(len(maps), np.int64)
     stop_at = depth + 2
+    chain_q, chain_p, chain_e = (np.zeros((stop_at, len(maps)))
+                                 for _ in range(3))
     for q in range(1, n_max + 1):
-        y += _batch_mode_sum(c, ca, cb, y)
+        y += mode_sum(y)
         k = np.floor(y)
         y -= k
         w += k
@@ -401,30 +436,49 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
         hit = np.flatnonzero(np.where(e >= 0.0, e < thr_pos, -e < thr_neg))
         if not hit.size:
             continue
+        i, eh = ids[hit], e[hit]
+        p = w[hit] + up[hit] - down[hit]
+        a = np.abs(eh)
+        overall = a < np.minimum(thr_pos[hit], thr_neg[hit])
+        neg = eh < 0.0
+        thr_pos[hit[~neg]] = a[~neg] * _IMPROVE
+        thr_neg[hit[neg]] = a[neg] * _IMPROVE
+        side = neg.astype(np.intp)
+        side_q[side, i] = q
+        side_p[side, i] = p
+        last_q[i] = q
+        io, n_o = i[overall], count[i[overall]]
+        chain_q[n_o, io] = q
+        chain_p[n_o, io] = p[overall]
+        chain_e[n_o, io] = eh[overall]
+        count[io] = n_o + 1
+        locked = a < RATIONAL_TOL
+        done = locked | (count[i] >= stop_at)
+        if not done.any():
+            continue
+        for j in np.flatnonzero(locked).tolist():
+            out[int(i[j])] = PeriodicOrbitDetected(q, int(p[j]), float(eh[j]))
         keep = np.ones(ids.size, bool)
-        for j, i, ej, wj, uj, dj in zip(
-                hit.tolist(), ids[hit].tolist(), e[hit].tolist(),
-                w[hit].tolist(), up[hit].tolist(), down[hit].tolist()):
-            scan = scans[i]
-            p = int(wj) + uj - dj
-            scan.offer(q, p, ej)
-            thr_pos[j] = scan.best_pos * _IMPROVE
-            thr_neg[j] = scan.best_neg * _IMPROVE
-            if abs(ej) < RATIONAL_TOL:
-                out[i] = PeriodicOrbitDetected(q, p, ej)
-            elif scan.overall_count < stop_at:
-                continue
-            keep[j] = False
-        if not keep.all():
-            ids, c, ca, cb = ids[keep], c[keep], ca[:, keep], cb[:, keep]
-            y, y0, w = y[keep], y0[keep], w[keep]
-            thr_pos, thr_neg = thr_pos[keep], thr_neg[keep]
-            if not ids.size:
-                break
+        keep[hit[done]] = False
+        ids, c, ca, cb = ids[keep], c[keep], ca[:, keep], cb[:, keep]
+        y, y0, w = y[keep], y0[keep], w[keep]
+        thr_pos, thr_neg = thr_pos[keep], thr_neg[keep]
+        if not ids.size:
+            break
+    sq, sp, lq, n_ov = (side_q.T.tolist(), side_p.T.tolist(),
+                        last_q.tolist(), count.tolist())
+    cq, cp, ce = chain_q.T.tolist(), chain_p.T.tolist(), chain_e.T.tolist()
     for i in live:
-        if out[i] is None:
-            out[i] = (_estimate_from(scans[i])
-                      or rotation_number_birkhoff(maps[i], x0s[i], n_max))
+        if out[i] is not None:
+            continue
+        (ql, qu), (pl, pu) = sq[i], sp[i]
+        if not (ql and qu):
+            out[i] = rotation_number_birkhoff(maps[i], x0s[i], n_max)
+            continue
+        m = n_ov[i]
+        chain = [ClosestReturn(int(r), int(pr), er) for r, pr, er in
+                 zip(cq[i][:m], cp[i][:m], ce[i][:m])]
+        out[i] = _estimate_from((ql, int(pl)), (qu, int(pu)), chain, lq[i])
     return out
 
 
@@ -438,7 +492,7 @@ def rho_interval(f: AnalyticCircleMap, eps: float) -> RotationEstimate:
     PeriodicOrbitDetected propagates."""
     scan = _scan_returns(f, 0.0, _N_CAP, lambda s: s.width() <= eps,
                          RATIONAL_TOL, _STALL)
-    est = _estimate_from(scan)
+    est = scan.estimate()
     if est is None:
         return rotation_number_birkhoff(f, 0.0, max(1024, min(_N_CAP, int(2.0 / eps))))
     return est
@@ -470,7 +524,7 @@ def _probe(f: AnalyticCircleMap, alpha: float,
     dev = (r.p + r.err) / r.q - alpha
     br = scan.bracket()
     if scan.width() <= eps and br[0] <= alpha <= br[1]:
-        return dev, _estimate_from(scan)
+        return dev, scan.estimate()
     return dev, None
 
 

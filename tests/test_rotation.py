@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import circlelab.rotation as rotation_module
 from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily, evaluate,
                                  inverse, iterate, rotation)
 from circlelab.contfrac import ContinuedFraction
@@ -15,7 +16,7 @@ from circlelab.rotation import (RATIONAL_TOL, _estimate_from, _ReturnScan,
                                 quotients_from_returns, rho_interval,
                                 rotation_number_birkhoff,
                                 rotation_number_closest_return, tune_parameter)
-from circlelab.rotation import _N_CAP, _farey_width
+from circlelab.rotation import _N_CAP, ClosestReturn, _farey_width
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,6 +48,25 @@ def test_sqrt2_returns_give_twos():
     rets = closest_returns(rotation(math.sqrt(2.0) - 1.0), 0.0, 200)
     assert [r.q for r in rets] == [1, 2, 5, 12, 29, 70, 169]
     assert quotients_from_returns(rets) == [2] * 6
+
+
+def test_quotients_need_a_chain_from_q_equal_1():
+    # signs alternate, but the first positive return is at q = 2: the chain
+    # has no q_0 = 1 to start the recursion from
+    rets = [ClosestReturn(2, 1, 0.1), ClosestReturn(3, 1, -0.05)]
+    assert quotients_from_returns(rets) is None
+    # a first negative return gets the virtual q_0 = 1 in front
+    assert quotients_from_returns(rets[1:] + [ClosestReturn(4, 1, 0.01)]) \
+        == [3, 1]
+
+
+def test_quotients_need_the_three_term_recursion():
+    # q = 1, 2, 4 alternate in sign, but 4 - 1 is no multiple of 2
+    rets = [ClosestReturn(1, 0, 0.3), ClosestReturn(2, 1, -0.2),
+            ClosestReturn(4, 1, 0.1)]
+    assert quotients_from_returns(rets) is None
+    assert quotients_from_returns(rets[:2] + [ClosestReturn(3, 1, 0.1)]) \
+        == [2, 1]
 
 
 def test_arnold_fixed_point_detected():
@@ -365,7 +385,9 @@ def test_rotation_scan_offers_only_running_minima(monkeypatch, c):
     est = rotation_number_closest_return(f, 0.1, 24, 400)
     monkeypatch.undo()
     assert len(offers) <= 2 * len(ref.returns)
-    assert est == _estimate_from(ref)
+    assert est == _estimate_from((ref.lower.q, ref.lower.p),
+                                 (ref.upper.q, ref.upper.p),
+                                 ref.overall_returns(), ref.returns[-1].q)
     assert _closest_or_lock(lambda: closest_returns(f)) == _closest_or_lock(
         lambda: _rotation_reference(c, 100000,
                                     lambda s: False).overall_returns())
@@ -427,6 +449,71 @@ def test_closest_return_batch_equals_per_cell_scans(depth, n_max, burn_in):
     if depth == 3:  # the depth + 2 stop rule ends some scans early
         deep = _per_cell(maps, x0s, 24, n_max, burn_in)
         assert any(_outcome(a) != _outcome(b) for a, b in zip(ref, deep))
+
+
+def _arnold_maps(seed: int, n: int) -> tuple:
+    """Seeded Arnold maps and base points, every sixth at b = 0 (a rotation,
+    rational at a = 0.5)."""
+    rng = random.Random(seed)
+    maps = [ArnoldFamily(0.0 if i % 6 == 0 else rng.uniform(0.01, 0.95))
+            .map_at(0.5 if i % 24 == 0 else rng.uniform(-1.0, 2.0))
+            for i in range(n)]
+    return maps, [rng.uniform(-2.0, 3.0) for _ in range(n)]
+
+
+@pytest.mark.parametrize("depth", [24, 3])
+def test_arnold_batch_takes_the_sine_only_step(monkeypatch, depth):
+    # a batch of Arnold maps has no cosine weight, so it steps by the scalar
+    # loop's sine-only step and never sums modes; its results are the
+    # per-cell scans'
+    maps, x0s = _arnold_maps(3, 150)
+    ref = _per_cell(maps, x0s, depth, 400, 128)
+    sums = []
+    monkeypatch.setattr(rotation_module, "_batch_mode_sum",
+                        lambda *args: sums.append(1))
+    got = closest_return_batch(maps, x0s, depth, 400, 128)
+    assert not sums
+    assert [_outcome(r) for r in got] == [_outcome(r) for r in ref]
+    assert {_kind(r) for r in ref} == {"closest_return", "birkhoff", "locked"}
+    assert {(f.degree, _kind(r)) for f, r in zip(maps, ref)} >= {
+        (0, "closest_return"), (0, "locked"), (1, "locked")}
+    if depth == 3:  # the depth + 2 stop rule ends some scans early
+        deep = _per_cell(maps, x0s, 24, 400, 128)
+        assert any(_outcome(a) != _outcome(b) for a, b in zip(ref, deep))
+
+
+def test_closest_return_batch_builds_no_per_return_record(monkeypatch):
+    # the batch keeps its return state in arrays: no map of degree >= 1 is
+    # offered a return, and records are built only for the overall-return
+    # chain of each estimate.  The only offers and records left are those of
+    # the Birkhoff fallback's plain walks, counted apart below.
+    depth, n_max = 24, 400
+    maps, x0s = _mixed_maps(5, 150)
+    maps, x0s = zip(*[(f, x0) for f, x0 in zip(maps, x0s) if f.degree])
+    offers, records = [], []
+    real_offer, real_record = _ReturnScan.offer, rotation_module.ClosestReturn
+
+    def offer(self, *args):
+        offers.append(1)
+        return real_offer(self, *args)
+
+    def record(*args):
+        records.append(1)
+        return real_record(*args)
+
+    monkeypatch.setattr(_ReturnScan, "offer", offer)
+    monkeypatch.setattr(rotation_module, "ClosestReturn", record)
+    got = closest_return_batch(list(maps), list(x0s), depth, n_max, 128)
+    batch_offers, batch_records = len(offers), len(records)
+    del offers[:], records[:]
+    fallback = [(f, x0) for f, x0, r in zip(maps, x0s, got)
+                if _kind(r) == "birkhoff"]
+    for f, x0 in fallback:
+        rotation_number_birkhoff(f, x0, n_max)
+    estimates = sum(_kind(r) == "closest_return" for r in got)
+    assert fallback and estimates
+    assert batch_offers == len(offers)
+    assert batch_records - len(records) <= (depth + 2) * estimates
 
 
 def test_closest_return_batch_does_not_depend_on_slice_size():

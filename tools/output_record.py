@@ -11,9 +11,10 @@ run prints its exit code and one sha256 per stream and output file:
 The runs are every subcommand and `validate` on every `configs/*.json`,
 plus edge inputs: a locked map, a `kam` map not tuned to its target, two
 rotations, a finite fraction, an `exp_round` tower, a count-bound violation,
-a small seeded tongue grid and `bootstrap`.  The last line hashes the classify JSON of the `arith` mix of
-`perfbench/workloads.py` (8 seeds x 3 rounds x 7 kinds) and both classify
-configs.  Run it on two trees and diff the records: equal records mean
+a small seeded tongue grid, the sample tongue grid split over two worker
+processes (two seeds) and `bootstrap`.  The last line hashes the classify
+JSON of the `arith` mix of `perfbench/workloads.py` (8 seeds x 3 rounds x 7
+kinds) and both classify configs.  Run it on two trees and diff the records: equal records mean
 byte-identical runs.
 """
 
@@ -64,6 +65,12 @@ EXTRA = [
       "rotnum": {"n": 0, "burn_in": -1}}),
     ("small-tongue", ["tongue-scan", "--seed", "42"],
      {"scan": {"na": 5, "nb": 4, "n_max": 300}}),
+] + [
+    (f"tongue-workers2-seed{seed}",
+     ["tongue-scan", "--config", str(ROOT / "configs" / "tongue_scan.json"),
+      "--workers", "2", "--seed", str(seed)], None)
+    for seed in (7, 42)
+] + [
     ("bootstrap-flags", ["bootstrap"], {"bootstrap": {"r": 4.0, "steps": 12}}),
 ]
 
