@@ -12,9 +12,9 @@ single complex exponential z = e^(2 pi i (x mod 1)) per point and sums the
 modes by Horner's rule in z, so a call costs O(K m) flops and O(m) memory for
 K modes at m points, and several derivative orders at the same points share
 that z.  Every array orbit that carries Df is stepped by one walker,
-`_Orbit`: the log-derivative chain rule, the partition-geometry grid walks
-and Herman's averaged conjugacy all read it.  Orbits of positions alone
-(`orbit_lift`, `iterate` on an array) are plain `evaluate` loops.
+`_Orbit`: the log-derivative chain rule and the partition-geometry grid
+walks read it.  Orbits of positions alone (`orbit_lift`, `iterate` on an
+array, Herman's averaged conjugacy) are plain `evaluate` loops.
 
 Every constructed map is certified orientation-preserving, with a true lower
 bound df_min > 0 on Df.  The coefficient bound Df >= 1 - sum 4 pi k |v_hat(k)|

@@ -12,9 +12,9 @@ the way; the grid doubles while K's modes in [N/8, N/4) are not negligible.
 The trace records per step the grid, sup |E|, sup |dK|, |da|, the energy cut
 off above N/4 and the smallest divisor, so a failed run explains itself.
 
-An independent estimator is also provided: the orbit-averaged conjugacy
-h_n = (id + f + ... + f^{n-1})/n, whose defect is measurable without any
-inversion.
+An independent estimator is the orbit-averaged conjugacy h_n = (id + f + ...
++ f^{n-1})/n.  Both are checked forward, by the grid sup of |h(f(x)) - h(x)
+- alpha|: neither defect inverts; only building h = K^{-1} does, once.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .circlemap import (AffineShiftFamily, AnalyticCircleMap, _Orbit,
-                        evaluate, inverse, orbit_lift, rotation)
+from .circlemap import (AffineShiftFamily, AnalyticCircleMap, evaluate,
+                        inverse, orbit_lift, rotation)
 from .contfrac import ContinuedFraction
-from .errors import (CircleLabError, ConjugacyNotDiffeo, NoConvergence,
-                     NotDiffeomorphism, NotMonotone, Resonance, SmallDivisor)
+from .errors import (CircleLabError, ConjugacyNotDiffeo, NotDiffeomorphism,
+                     NotMonotone, Resonance, SmallDivisor)
 from .rotation import _certified_rho, rho_interval
 
 _RHO_TOL = 1e-5  # largest |rho(f) - alpha| kam_iterate accepts
@@ -211,11 +211,11 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
     budget runs out (diverged), or a divisor dies (resonance_stop).  A run
     whose sup |E| falls below the threshold ends linearized only when the
     counterterm a - c is below it too: otherwise K conjugates f_a, not f,
-    and the run ends diverged.  A linearized run returns h = K^{-1},
-    sampled through `inverse` on the final grid, and its defect; where h
-    fails validation (its modes below N/2 do not resolve it, as near b = 1)
-    the run ends diverged after all.  Any other run returns no h, as an
-    unconverged K^{-1} need not project to a diffeomorphism.  The trace
+    and the run ends diverged.  A linearized run returns h = K^{-1}, from
+    the run's one `inverse` on the final grid, and its forward defect; where
+    h fails validation (its modes below N/2 do not resolve it, as near
+    b = 1) the run ends diverged after all.  Any other run returns no h, as
+    an unconverged K^{-1} need not project to a diffeomorphism.  The trace
     records the final grid and the counterterm a - c.
 
     The caller is expected to have tuned rho(f) to the target: a map whose
@@ -237,8 +237,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
     trace = KamTrace()
     c0 = f.mean_shift
     K, a, grid = rotation(0.0), c0, 4 * max(8, 2 * f.degree)
-    verdict = None
-    note = ""
+    verdict, note = None, ""
     for n in range(config.max_steps):
         try:
             step = kam_step(family.map_at(a), alpha, grid // 4, grid,
@@ -274,7 +273,7 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
         try:
             h = AnalyticCircleMap(c[0].real, c[1:grid // 2])
             trace.defect = linearization_defect(h, f, alpha)
-        except (NotDiffeomorphism, NoConvergence) as e:
+        except NotDiffeomorphism as e:
             h, verdict = None, "diverged"
             note = f"K^-1 on {grid} points failed validation: {e}"
     trace.verdict = verdict
@@ -287,11 +286,12 @@ def kam_iterate(f: AnalyticCircleMap, config: KamConfig) -> KamResult:
 
 def linearization_defect(h: AnalyticCircleMap, f: AnalyticCircleMap,
                          alpha: float, grid: int = 4096) -> float:
-    """Pointwise grid sup of |h(f(h^{-1}(x))) - x - alpha| on the real axis;
-    the inverse is solved to an ulp, so its error adds at that level."""
+    """Grid sup of |h(f(x)) - h(x) - alpha| on x = j / grid, the forward form
+    Herman's defect uses.  It is |h(f(h^{-1}(y))) - y - alpha| at y = h(x),
+    and h is a bijection: both have one supremum, and no inverse is taken."""
     x = np.arange(grid) / grid
-    y = evaluate(h, evaluate(f, inverse(h, x)))
-    return float(np.max(np.abs(y - x - alpha)))
+    hx, hfx = evaluate(h, x), evaluate(h, evaluate(f, x))
+    return float(np.max(np.abs(hfx - hx - alpha)))
 
 
 def _fit_trace_constants(trace: KamTrace):
@@ -363,15 +363,15 @@ def herman_average(f: AnalyticCircleMap, n: int, rho: Optional[float] = None,
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.arange(grid) / grid
-    # h_n as a running sum along one walk of the orbit
-    orb = _Orbit(f, x)
-    h_vals = x.copy()
-    for i in range(1, n):
-        h_vals += orb.advance(i).x
+    # h_n as a running sum along one walk of the orbit's positions
+    y, h_vals = x, x.copy()
+    for _ in range(1, n):
+        y = evaluate(f, y)
+        h_vals += y
     h_vals /= n
     if rho is None:
         rho = _certified_rho(f)
-    defect = float(np.max(np.abs((orb.advance(n).x - x) / n - rho)))
+    defect = float(np.max(np.abs((evaluate(f, y) - x) / n - rho)))
     deg = min(grid // 3, 256)
     c = np.fft.rfft(h_vals - x) / grid
     try:

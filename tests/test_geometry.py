@@ -186,6 +186,10 @@ def test_partition_detects_periodic_orbit():
     f = ArnoldFamily(0.5).map_at(0.0)  # fixed point at 0
     with pytest.raises(PeriodicOrbitDetected):
         build_partition(f, 1)
+    # a rotation by 0.3 walked along golden's chain: f^2 - id - 1 = -0.4 at
+    # level 2, so the level's beta is negative on its whole grid
+    with pytest.raises(PeriodicOrbitDetected, match="f\\^2 - id - 1"):
+        build_partition(rotation(0.3), 2, chain=pq_chain(GOLDEN, 3), rho=GOLDEN)
     # a wrong chain for a valid map is caught by the tiling check
     from circlelab.errors import TilingFailure
     g = ArnoldFamily(0.2).map_at(0.61)

@@ -5,8 +5,9 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 
+from circlelab import kam
 from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily, derivative,
-                                 evaluate, orbit_lift, rotation)
+                                 evaluate, inverse, orbit_lift, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import ConjugacyNotDiffeo, Resonance, SmallDivisor
 from circlelab.kam import (HermanResult, KamConfig, herman_average,
@@ -282,6 +283,26 @@ def test_defect_matches_direct_conjugation(arnold_b005_golden):
     res = kam_iterate(arnold_b005_golden, KamConfig(ContinuedFraction.golden()))
     d = linearization_defect(res.h, arnold_b005_golden, GOLDEN, grid=512)
     assert d <= res.trace.defect * 1.5 + 1e-12
+
+
+def test_iterate_linearizes_sqrt2_at_b097(tuned):
+    # h = K^-1 certifies here, but an inverse of h does not reach its
+    # 1e-14 residual stop: the forward defect takes none
+    f = ArnoldFamily(0.97).map_at(tuned(0.97, "sqrt2"))
+    res = kam_iterate(f, KamConfig(ContinuedFraction.periodic([2])))
+    assert (res.verdict, res.trace.grid) == ("linearized", 4096)
+    assert res.trace.defect < 1e-8
+
+
+def test_a_linearized_run_inverts_once(monkeypatch, arnold_b005_golden):
+    # h = K^-1 is the one inverse; the defect is checked forward
+    calls = []
+    monkeypatch.setattr(kam, "inverse",
+                        lambda f, y: calls.append(y) or inverse(f, y))
+    res = kam_iterate(arnold_b005_golden, KamConfig(ContinuedFraction.golden()))
+    assert (res.verdict, len(calls)) == ("linearized", 1)
+    linearization_defect(res.h, arnold_b005_golden, GOLDEN)
+    assert len(calls) == 1
 
 
 def test_counterterm_names_the_tuning_mismatch(tuned):

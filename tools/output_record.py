@@ -9,7 +9,8 @@ run prints its exit code and one sha256 per stream and output file:
     <run> stdout|stderr|<file> <sha256>
 
 The runs are every subcommand and `validate` on every `configs/*.json`,
-plus edge inputs: a locked map, a `kam` map not tuned to its target, two
+plus edge inputs: a locked map, a `kam` map not tuned to its target, a
+`kam` run near b = 1 (b = 0.97, tuned to sqrt 2 - 1), two
 rotations, a finite fraction, an `exp_round` tower, a count-bound violation,
 a small seeded tongue grid, the sample tongue grid split over two worker
 processes (two seeds) and `bootstrap`.  The last line hashes the classify
@@ -34,6 +35,8 @@ SUBCOMMANDS = ("classify", "rotnum", "tune", "kam", "geometry",
                "tongue-scan", "bootstrap")
 GOLDEN = {"quotients": [1], "tail": {"kind": "periodic", "start": 1,
                                      "period": 1}}
+SQRT2 = {"quotients": [2], "tail": {"kind": "periodic", "start": 1,
+                                    "period": 1}}
 TOWER = {"quotients": [], "tail": {"kind": "rule", "name": "exp_round", "a1": 3}}
 FINITE = {"quotients": [2, 3], "tail": {"kind": "finite"}}
 ARITH_KINDS = ("golden", "periodic", "bounded_prng", "exp_round",
@@ -47,6 +50,9 @@ EXTRA = [
      {"target": GOLDEN, "map": {"family": {"kind": "arnold", "a": 0.5, "b": 0.3}}}),
     ("mistuned-kam", ["kam"],
      {"target": GOLDEN, "map": {"family": {"kind": "arnold", "a": 0.55, "b": 0.3}}}),
+    ("near-b1-kam", ["kam"],
+     {"target": SQRT2, "family": {"kind": "arnold", "b": 0.97},
+      "kam": {"tune_tol": 1e-11}}),
     ("locked-geometry", ["geometry"],
      {"target": GOLDEN, "map": {"family": {"kind": "arnold", "a": 0.5, "b": 0.3}}}),
     ("rotation-rotnum", ["rotnum"],
