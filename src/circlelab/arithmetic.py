@@ -7,7 +7,9 @@ Three nested classes are probed at finite depth, from quotient data only:
 * The linearization condition tested by the threshold recursion
   R_{k+1} = Rmap_{alpha_k}(R_k) against truncated Brjuno values, where
   Rmap_alpha(r) = (r - ln(1/alpha) + 1) / alpha  once r >= ln(1/alpha),
-  and e^r below that.
+  and e^r below that.  One backward sweep of B(alpha) = ln(1/alpha) +
+  alpha B(G(alpha)) gives every window n <= m_max + k_max; each ends at index
+  m_max + k_max + b_depth - 1, so b_depth is the depth of the last to start.
 
 Verdicts are honest about truncation: a pass or a fail is certified only when
 the two-sided interval data leaves a margin above the guard band and the
@@ -173,26 +175,34 @@ def brjuno_interval(cf: ContinuedFraction, n: int, depth: int,
     omitted term, computed from known data) plus beta_depth * b_cap with
     b_cap a configured cap on deeper truncated values.
     """
-    b_lo = b_hi = ZERO
-    s_lo = ZERO  # lower bound of sum of L over the window
-    window = [cf.log_inverse_interval(n + j) for j in range(depth - 1, -1, -1)]
-    for llo, lhi in window:
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return _brjuno_windows(cf, n, n, n + depth, b_cap)[0]
+
+
+def _brjuno_windows(cf, first, last, end, b_cap):
+    """brjuno_interval's (b_lo, b_hi, tail) of the windows [n, end) for
+    n = first..last, from one backward sweep: B(alpha_j) = L_j +
+    alpha_j B(alpha_{j+1}) is its Horner step, and each window's tail reads
+    the L sum of that window and the one L at `end`."""
+    try:
+        l_end = cf.log_inverse_interval(end)
+    except (DepthExhausted, ExactnessExhausted, RationalDetected):
+        l_end = None  # no data past the windows: the allowance widens
+    b_lo = b_hi = s_lo = ZERO  # s_lo: lower bound of the window's L sum
+    windows = []
+    for j in range(end - 1, first - 1, -1):
+        llo, lhi = cf.log_inverse_interval(j)
         b_lo = llo.add(b_lo.mul_exp_neg(lhi))
         b_hi = lhi.add(b_hi.mul_exp_neg(llo))
-    for llo, _ in reversed(window):
         s_lo = s_lo.add(llo)
-    try:
-        l_next_lo, l_next_hi = cf.log_inverse_interval(n + depth)
-        term1 = l_next_hi.mul_exp_neg(s_lo).to_float()
-        term2 = LevelReal.from_float(b_cap).mul_exp_neg(
-            s_lo.add(l_next_lo)).to_float()
-    except (DepthExhausted, ExactnessExhausted, RationalDetected):
-        # no data past the window: the allowance widens, never shrinks
-        term1 = term2 = math.inf
-    tail = term1 + term2 + _TAIL_FLOOR
-    if not math.isfinite(tail):
-        tail = 1e300
-    return b_lo, b_hi, tail
+        if j <= last:
+            tail = _TAIL_FLOOR + (math.inf if l_end is None else (
+                l_end[1].mul_exp_neg(s_lo).to_float() + LevelReal.from_float(
+                    b_cap).mul_exp_neg(s_lo.add(l_end[0])).to_float()))
+            windows.append((b_lo, b_hi,
+                            tail if math.isfinite(tail) else 1e300))
+    return windows[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +261,7 @@ class ConditionHVerdict:
     kind: str  # "pass_to_depth" | "fail_at" | "inconclusive"
     m_max: int
     k_max: int
-    b_depth: int
+    b_depth: int  # every window ends at m_max + k_max + b_depth - 1
     fail_m: Optional[int]
     probes: tuple = field(repr=False, default=())
 
@@ -267,14 +277,16 @@ def condition_h_check(cf: ContinuedFraction, m_max: int, k_max: int,
     truncated Brjuno lower bound, with margin beyond the tail allowance, for
     every k <= k_max.
     inconclusive:  anything else.
+
+    B(alpha_n) is truncated at index m_max + k_max + b_depth - 1 for every
+    n, so b_depth is the depth of the window that starts last.
     """
-    return _condition_h(cf, m_max, k_max, b_depth, b_cap, None, {})
+    return _condition_h(cf, m_max, k_max, b_depth, b_cap, None)
 
 
-def _condition_h(cf, m_max, k_max, b_depth, b_cap, gate, windows):
+def _condition_h(cf, m_max, k_max, b_depth, b_cap, gate):
     """condition_h_check's body.  `gate` is a Brjuno sum already computed
-    (used when its depth is the gate's), `windows` the
-    brjuno_interval(cf, n, b_depth, b_cap) results already computed, by n."""
+    (used when its depth is the gate's)."""
     if min(m_max, k_max, b_depth) < 1:
         raise ValueError("m_max, k_max, b_depth must all be >= 1")
     gate_depth = max(40, m_max + k_max + 2)
@@ -282,21 +294,15 @@ def _condition_h(cf, m_max, k_max, b_depth, b_cap, gate, windows):
         gate = brjuno_sum(cf, gate_depth)
     if gate.diverging:
         raise NotBrjuno("divergence-certified quotient growth")
-
-    def b_at(n):
-        if n not in windows:
-            windows[n] = brjuno_interval(cf, n, b_depth, b_cap)
-        return windows[n]
-
+    windows = _brjuno_windows(cf, 0, m_max + k_max,
+                              m_max + k_max + b_depth, b_cap)
     probes = []
-    first_fail = None
-    all_pass = True
     for m in range(0, m_max + 1):
         r_lo = r_hi = ZERO
         found = None
         below = True
         for k in range(0, k_max + 1):
-            b_lo, b_hi, tail = b_at(m + k)
+            b_lo, b_hi, tail = windows[m + k]
             if r_lo >= b_hi.add_float(tail).nudge_up(_GUARD):
                 found = k
                 break
@@ -306,19 +312,12 @@ def _condition_h(cf, m_max, k_max, b_depth, b_cap, gate, windows):
                 llo, lhi = cf.log_inverse_interval(m + k)
                 r_lo = _r_step(r_lo, llo)
                 r_hi = _r_step(r_hi, lhi)
-        probes.append(HProbe(m, found, below if found is None else False))
-        if found is None:
-            all_pass = False
-            if below and first_fail is None:
-                first_fail = m
-    if all_pass:
-        kind = "pass_to_depth"
-    elif first_fail is not None:
-        kind = "fail_at"
-    else:
-        kind = "inconclusive"
-    return ConditionHVerdict(kind, m_max, k_max, b_depth, first_fail,
-                             tuple(probes))
+        probes.append(HProbe(m, found, found is None and below))
+    fails = [p.m for p in probes if p.certified_below]
+    kind = ("pass_to_depth" if all(p.passed_at is not None for p in probes)
+            else "fail_at" if fails else "inconclusive")
+    return ConditionHVerdict(kind, m_max, k_max, b_depth,
+                             fails[0] if fails else None, tuple(probes))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +331,7 @@ class ClassifyConfig:
     brjuno_depth: int = 40
     h_m_max: int = 10
     h_k_max: int = 20
-    h_b_depth: int = 40
+    h_b_depth: int = 40  # windows end at h_m_max + h_k_max + h_b_depth - 1
     b_cap: float = 50.0
 
 
@@ -366,8 +365,7 @@ def classify(cf: ContinuedFraction,
         raise RationalDetected("a finite continued fraction is rational")
     dio = diophantine_estimate(cf, config.sigma, config.diophantine_depth)
     bs = brjuno_sum(cf, config.brjuno_depth)
-    b0 = brjuno_interval(cf, 0, config.brjuno_depth, config.b_cap)
-    blo, bhi, _ = b0
+    blo, bhi, _ = brjuno_interval(cf, 0, config.brjuno_depth, config.b_cap)
     b_mid = 0.5 * (blo.to_float() + bhi.to_float()) \
         if math.isfinite(bhi.to_float()) else blo.to_float()
     note = ""
@@ -375,9 +373,8 @@ def classify(cf: ContinuedFraction,
         h = None
         note = "Brjuno sum diverging: linearization-condition check vacuous"
     else:
-        windows = {0: b0} if config.h_b_depth == config.brjuno_depth else {}
         h = _condition_h(cf, config.h_m_max, config.h_k_max,
-                         config.h_b_depth, config.b_cap, bs, windows)
+                         config.h_b_depth, config.b_cap, bs)
         if dio.certified and h.kind == "fail_at":
             h = ConditionHVerdict("inconclusive", h.m_max, h.k_max,
                                   h.b_depth, None, h.probes)

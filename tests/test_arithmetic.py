@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlelab.arithmetic import (ClassifyConfig, brjuno_function,
-                                  brjuno_interval, brjuno_sum, classify,
-                                  condition_h_check, diophantine_estimate,
-                                  h_recursion_states, r_alpha)
+from circlelab.arithmetic import (ClassifyConfig, _brjuno_windows,
+                                  brjuno_function, brjuno_interval,
+                                  brjuno_sum, classify, condition_h_check,
+                                  diophantine_estimate, h_recursion_states,
+                                  r_alpha)
 from circlelab.contfrac import ContinuedFraction, RuleTail
 from circlelab.errors import (DepthExhausted, ExactnessExhausted, NotBrjuno,
                               RationalDetected)
+from circlelab.levelindex import ZERO, LevelReal
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -220,6 +222,50 @@ def test_functional_equation_residual_below_tail_allowance():
     assert resid < 10.0 * tail
 
 
+def _reference_window(cf, n, depth, b_cap=50.0):
+    """brjuno_interval(cf, n, depth) as one window of its own: a depth-step
+    Horner sweep and a forward-summed L sum (infinite fractions only)."""
+    window = [cf.log_inverse_interval(n + j) for j in range(depth - 1, -1, -1)]
+    b_lo = b_hi = s_lo = ZERO
+    for llo, lhi in window:
+        b_lo = llo.add(b_lo.mul_exp_neg(lhi))
+        b_hi = lhi.add(b_hi.mul_exp_neg(llo))
+    for llo, _ in reversed(window):
+        s_lo = s_lo.add(llo)
+    l_lo, l_hi = cf.log_inverse_interval(n + depth)
+    tail = (l_hi.mul_exp_neg(s_lo).to_float()
+            + LevelReal.from_float(b_cap).mul_exp_neg(s_lo.add(l_lo)).to_float()
+            + 1e-300)
+    return b_lo, b_hi, tail if math.isfinite(tail) else 1e300
+
+
+@pytest.mark.parametrize("cf", [
+    ContinuedFraction.golden(),
+    ContinuedFraction.periodic([3, 1, 7]),
+    ContinuedFraction.rule("bounded_prng", a1=2, seed=12345, lo=1, hi=9),
+    ContinuedFraction.rule("exp_round", a1=3),
+    ContinuedFraction.rule("exp_sqrt_ceil", a1=3),
+    ContinuedFraction.rule("log_power", a1=3, c=2.0),
+], ids=["golden", "periodic", "bounded_prng", "exp_round", "exp_sqrt_ceil",
+        "log_power"])
+def test_brjuno_windows_match_per_window_sweeps(cf):
+    # the H check's windows [n, 70), n = 0..30, from one backward sweep
+    windows = _brjuno_windows(cf, 0, 30, 70, 50.0)
+    assert len(windows) == 31
+    for n, (b_lo, b_hi, tail) in enumerate(windows):
+        ref_lo, ref_hi, ref_tail = _reference_window(cf, n, 70 - n)
+        assert (b_lo, b_hi) == (ref_lo, ref_hi)
+        assert tail == pytest.approx(ref_tail, rel=1e-13)
+        if n < 30:  # [30, 70) is itself the 40-term window of n = 30
+            # against the 40-term window [n, n + 40): never looser
+            short_lo, _, short_tail = _reference_window(cf, n, 40)
+            assert b_lo >= short_lo
+            assert tail <= short_tail
+    assert brjuno_interval(cf, 5, 40) == _brjuno_windows(cf, 5, 5, 45, 50.0)[0]
+    with pytest.raises(ValueError):
+        brjuno_interval(cf, 0, 0)
+
+
 def test_r_alpha_branch_continuity_and_values():
     for alpha in (0.1, 0.5, GOLDEN, 0.9):
         ell = math.log(1.0 / alpha)
@@ -277,6 +323,15 @@ def test_condition_h_requires_brjuno():
         condition_h_check(ContinuedFraction.rule("exp_qn_round", a1=2), 5, 10, 20)
 
 
+def test_condition_h_reads_every_window_to_the_sweep_end():
+    # every window ends at index 10 + 20 + 40 - 1 = 69, whose bracket needs
+    # a_70: a finite fraction that stops short has no data for the check
+    with pytest.raises(DepthExhausted):
+        condition_h_check(ContinuedFraction([1] * 60), 10, 20, 40)
+    v = condition_h_check(ContinuedFraction([1] * 75), 10, 20, 40)
+    assert v.kind == "pass_to_depth"
+
+
 def test_condition_h_exp_round_a1_1_is_inconclusive_at_k1():
     # no seed m <= 1 is settled either way within k <= 1
     v = condition_h_check(ContinuedFraction.rule("exp_round", a1=1), 1, 1, 40)
@@ -325,15 +380,19 @@ def test_classify_computes_each_bracket_once(cf, monkeypatch):
 def test_classify_computes_its_brjuno_data_once(config, depths, monkeypatch):
     import circlelab.arithmetic as arith
     calls = Counter()
-    for name in ("brjuno_sum", "brjuno_interval"):
+    for name in ("brjuno_sum", "brjuno_interval", "_brjuno_windows"):
         def counting(cf, *args, _f=getattr(arith, name), _name=name, **kw):
             calls[(_name,) + args + tuple(kw.values())] += 1
             return _f(cf, *args, **kw)
         monkeypatch.setattr(arith, name, counting)
     arith.classify(ContinuedFraction.golden(), config)
-    for d in depths:
-        assert calls[("brjuno_sum", d)] == 1
-        assert calls[("brjuno_interval", 0, d, 50.0)] == 1
+    d = config.brjuno_depth
+    # each Brjuno sum once; brjuno_B's window [0, d) once, which is a sweep
+    # of its own; the H check's windows [n, 70), n = 0..30, in one sweep
+    assert calls == Counter({**{("brjuno_sum", s): 1 for s in depths},
+                             ("brjuno_interval", 0, d, 50.0): 1,
+                             ("_brjuno_windows", 0, 0, d, 50.0): 1,
+                             ("_brjuno_windows", 0, 30, 70, 50.0): 1})
 
 
 def test_classify_gates_the_h_check_at_its_own_depth():

@@ -11,9 +11,9 @@ from circlelab.circlemap import (ArnoldFamily, derivative, evaluate,
                                  orbit_log_derivative, rotation)
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import DerivativeBlowup, EmptyWindow, PeriodicOrbitDetected
-from circlelab.geometry import (GeometryReport, beta_recursion_check,
-                                bootstrap_schedule, build_partition,
-                                c1_criterion, denjoy_checks,
+from circlelab.geometry import (GeometryReport, PartitionLevel,
+                                beta_recursion_check, bootstrap_schedule,
+                                build_partition, c1_criterion, denjoy_checks,
                                 derivative_growth_check, geometry_report,
                                 koksma_check, pq_chain, ratio_trend)
 from circlelab.rotation import tune_parameter
@@ -180,6 +180,25 @@ def test_beta_recursion_on_refined_next_level(arnold_b03_golden):
     mixed = beta_recursion_check(f, 2, lev2, lev3_fine)
     assert mixed.c_estimate == pytest.approx(same.c_estimate, rel=1e-12)
     assert mixed.witness == same.witness
+
+
+def _flat_level(n, beta, qn_distance):
+    """A hand-built level of four equal lengths (no map behind it)."""
+    grid = np.arange(4) / 4.0
+    return PartitionLevel(n=n, q=n, p=1, q_next=n + 1, p_next=1, sign=1.0,
+                          qn_distance=qn_distance, beta=np.full(4, beta),
+                          grid=grid, log_df=np.zeros(4), m=beta, M=beta,
+                          tiling_total=1.0, max_overlap=0.0)
+
+
+def test_beta_recursion_vacuous_when_c_sqrt_m_reaches_one():
+    # beta_{n+1} = 0.4 against (a_{n+1}/a_n) beta_n = 5: the empirical C is
+    # about 8.6, so 1 - C sqrt(M_n) <= 0 and the ratio bounds say nothing
+    lev_n, lev_n1 = _flat_level(2, 0.5, 0.01), _flat_level(3, 0.4, 0.1)
+    br = beta_recursion_check(rotation(GOLDEN), 2, lev_n, lev_n1)
+    assert br.c_estimate * math.sqrt(lev_n.M) >= 1.0
+    assert br.vacuous
+    assert br.ratio_bound_upper_ok and br.ratio_bound_lower_ok
 
 
 def test_partition_detects_periodic_orbit():

@@ -184,3 +184,18 @@ def test_zero_identities():
     x = LevelReal.from_float(42.0)
     assert x.add(ZERO).to_float() == pytest.approx(42.0)
     assert x.diff(ZERO).to_float() == pytest.approx(42.0)
+
+
+def test_from_float_edge_inputs():
+    for bad in (math.nan, -1e-3):
+        with pytest.raises(ValueError):
+            LevelReal.from_float(bad)
+    # a round-off negative is zero; infinity saturates past float range
+    assert LevelReal.from_float(-1e-12) == ZERO
+    assert LevelReal.from_float(math.inf).to_float() >= 1e307
+
+
+def test_mul_exp_neg_below_one_underflows_to_zero():
+    x = LevelReal.from_float(0.5)
+    assert x.level == 0
+    assert x.mul_exp_neg(LevelReal.from_float(800.0)) == ZERO

@@ -13,10 +13,12 @@ plus edge inputs: a locked map, a `kam` map not tuned to its target, a
 `kam` run near b = 1 (b = 0.97, tuned to sqrt 2 - 1), two
 rotations, a finite fraction, an `exp_round` tower, a count-bound violation,
 a small seeded tongue grid, the sample tongue grid split over two worker
-processes (two seeds) and `bootstrap`.  The last line hashes the classify
-JSON of the `arith` mix of `perfbench/workloads.py` (8 seeds x 3 rounds x 7
-kinds) and both classify configs.  Run it on two trees and diff the records: equal records mean
-byte-identical runs.
+processes (two seeds), `bootstrap`, and classify runs on golden and the
+tower at `brjuno_depth` 30 (not the H check's depth) and at `h_m_max` 4 with
+`h_k_max` 8 (a non-default end of the H check's Brjuno windows).  The last
+line hashes the classify JSON of the `arith` mix of `perfbench/workloads.py`
+(8 seeds x 3 rounds x 7 kinds) and both classify configs.  Run it on two
+trees and diff the records: equal records mean byte-identical runs.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ EXTRA = [
     for seed in (7, 42)
 ] + [
     ("bootstrap-flags", ["bootstrap"], {"bootstrap": {"r": 4.0, "steps": 12}}),
+] + [
+    (f"{name}-classify-{tag}", ["classify"], {"target": target, "classify": c})
+    for name, target in (("golden", GOLDEN), ("tower", TOWER))
+    for tag, c in (("brjuno-depth30", {"brjuno_depth": 30}),
+                   ("h-window-end", {"h_m_max": 4, "h_k_max": 8}))
 ]
 
 
