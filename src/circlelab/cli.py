@@ -172,6 +172,8 @@ def validate_config(subcommand: str, cfg: dict) -> list[str]:
     elif subcommand == "tongue-scan":
         if s["b_max"] >= 1.0:
             out.append("scan.b_max: must stay below 1")
+        if s["b_min"] <= -1.0:
+            out.append("scan.b_min: must stay above -1")
         if s["na"] < 1 or s["nb"] < 1:
             out.append("scan.na/nb: grid must be nonempty")
     elif subcommand == "bootstrap" and s["r"] <= 2.0 + s["sigma"]:
@@ -343,6 +345,8 @@ def main(argv=None) -> int:
         if getattr(args, flag) is not None and isinstance(cfg, dict):
             cfg.setdefault(spec.section, {})[key] = getattr(args, flag)
     violations = validate_config(args.cmd, cfg)
+    if args.cmd == "tongue-scan" and args.workers < 1:
+        violations.append("--workers: must be >= 1")
     if violations:
         for v in violations:
             print(f"config violation: {v}", file=sys.stderr)

@@ -17,21 +17,17 @@ its estimate is read off that scan, and the orbit is not walked again.
 The scan walks the orbit reduced to [0, 1) with an integer winding count,
 so a return error at q ~ 10^6 carries the rounding of a number in [0, 1)
 (~1e-16 per step) rather than that of the lift, which has grown to ~q.  Its
-inner loop is plain float arithmetic with the map's mode sum inlined; an
-Arnold map's single mode has cosine weight zero, so its step is one sine,
-and floor runs only on the steps where y leaves [0, 1).  Both shortcuts drop
-operations that change no float: a zero weight times a cosine adds an exact
-zero, and floor(y) is 0 for y in [0, 1).
+inner loop is plain float arithmetic with the map's mode sum inlined: a
+sine-only map (`_sine_only`: every Arnold map) steps by one sine, and floor
+runs only on the steps where y leaves [0, 1), since floor(y) is 0 inside.
 
-Many short scans, such as the cells of a tongue picture, run as one batch
-(`closest_return_batch`): every map's orbit is one entry of a numpy array,
-stepped with the same float operations as the scalar loop (libm cosine and
-sine, no complex Horner sweep, whose rounding depends on the array length;
-a batch of Arnold maps takes the scalar loop's sine-only step), so each
-result equals the per-map `rotation_number_closest_return`.  The batch keeps
-each map's return state in arrays indexed by map, updated by masked array
-operations, and builds records only for the overall-return chains its
-estimates read; both it and the scalar scan build every estimate through
+Many short scans of sine-only maps, such as the cells of a tongue picture,
+run as one batch (`closest_return_batch`): each orbit is one entry of a
+numpy array, stepped by the scalar loop's sine-only step, so each result
+equals the per-map `rotation_number_closest_return`, the scan every other
+map takes.  The batch keeps each map's return state in arrays indexed by
+map and builds records only for the overall-return chains its estimates
+read; both it and the scalar scan build every estimate through
 `_estimate_from`.
 """
 
@@ -62,7 +58,7 @@ class RotationEstimate:
     n: int                       # orbit length consumed
     error_bound: float
     extracted_quotients: Optional[tuple] = None
-    bracket: Optional[tuple] = None  # certified (lo, hi), unreduced
+    bracket: Optional[tuple] = None  # certified closed [lo, hi], unreduced
 
 
 @dataclass(frozen=True)
@@ -151,6 +147,15 @@ class _ReturnScan:
                               self.overall_returns(), self.returns[-1].q)
 
 
+def _sine_only(f: AnalyticCircleMap) -> bool:
+    """Whether f is x + c + cb*sin(2 pi x): one mode, of cosine weight
+    exactly zero (every Arnold map with b != 0).  Such a map steps by
+    c + cb*sin(t), the float of the mode sum c + (ca*cos(t) + cb*sin(t))
+    up to the sign of a zero, since ca*cos(t) = +-0.0 adds an exact zero."""
+    modes = f._scalar_modes
+    return len(modes) == 1 and modes[0][1] == 0.0
+
+
 def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
                   stop: Callable[[_ReturnScan], bool],
                   rational_tol: float,
@@ -167,12 +172,10 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
     lift (of size ~q) rounds at ~q * 1e-16 per step.  The return error
     e = f^q(x0) - x0 - p is y - y0 wrapped to [-1/2, 1/2), a difference that
     is exact at a close return (both lie in [0, 1)), and p is w plus the
-    wrap.  The mode sum is inlined; a map with one mode of cosine weight
-    zero (every Arnold map) steps by c + cb*sin(t), the same float as
-    c + (ca*cos(t) + cb*sin(t)) up to the sign of a zero, since
-    ca*cos(t) = +-0.0 adds an exact zero.  The return state is offered only
-    returns it may record: beating their side's best by its rule (the loop),
-    or their side's strict running minimum (a rotation's closed-form chunk).
+    wrap.  The mode sum is inlined, and a `_sine_only` map steps by
+    c + cb*sin(t).  The return state is offered only returns it may record:
+    beating their side's best by its rule (the loop), or their side's strict
+    running minimum (a rotation's closed-form chunk).
 
     With stall_factor set, the walk also gives up once the orbit has run
     stall_factor times past the last recorded return: return gaps are
@@ -216,8 +219,7 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
             done += m
         return scan.end(done * c, (y0 + done * c) % 1.0)
     modes = f._scalar_modes
-    # every Arnold map; ca*cos(t) would add an exact zero (see above)
-    sine_only = len(modes) == 1 and modes[0][1] == 0.0
+    sine_only = _sine_only(f)
     k2p1, _, cb1 = modes[0]
     cos, sin, floor = math.cos, math.sin, math.floor
     y, w = y0, 0
@@ -301,9 +303,11 @@ def quotients_from_returns(returns: list[ClosestReturn]) -> Optional[list[int]]:
 
 def _estimate_from(lower: tuple, upper: tuple, overall: list,
                    last_q: int) -> RotationEstimate:
-    """The mediant estimate of the bracket p/q < rho < p'/q' of the best
-    returns lower = (q, p) and upper = (q', p'), with the quotients of the
-    overall-return chain and n = last_q, the last recorded return."""
+    """The mediant estimate of the closed bracket p/q <= rho <= p'/q' of the
+    best returns lower = (q, p) and upper = (q', p'), with the quotients of
+    the overall-return chain and n = last_q, the last recorded return.  The
+    bracket is closed: a map with a period-q orbit (on a tongue) has
+    rho = p/q, so a return forces only rho >= p/q, or rho <= p'/q'."""
     (qa, pa), (qb, pb) = lower, upper
     lo, hi = pa / qa, pb / qb
     quots = quotients_from_returns(overall)
@@ -334,35 +338,19 @@ def rotation_number_closest_return(f: AnalyticCircleMap, x0: float = 0.0,
     return est
 
 
-def _batch_mode_sum(c: np.ndarray, ca: np.ndarray, cb: np.ndarray,
-                    y: np.ndarray) -> np.ndarray:
-    """The scan's inlined mode sum at one point per map, with the scalar
-    loop's float operations in its order: cosine and sine are libm's, and a
-    zero-padded mode adds an exact 0.0.  A batch with no cosine weight (every
-    Arnold slice) does not come here: it takes the scalar loop's sine-only
-    step.  The batch keeps its unconditional floor: there floor(y) = 0
-    subtracts exactly."""
-    s = c.copy()
-    for k in range(ca.shape[0]):
-        t = (TWO_PI * (k + 1)) * y
-        s += ca[k] * np.cos(t) + cb[k] * np.sin(t)
-    return s
-
-
 def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
                          burn_in: int = 0) -> list:
     """For each map, what rotation_number_closest_return(f, x0, depth, n_max,
     burn_in) gives: its RotationEstimate, or the PeriodicOrbitDetected it
     raises, returned here in its place.
 
-    The maps of degree >= 1 walk together, one array entry per map, with
-    each map's modes stacked (zero-padded) into coefficient arrays: the
-    base points are reduced to [0, 1) once, and the burn-in and the return
-    scan both step that reduced orbit, as the scalar walk does.  Every entry
-    takes the float operations of the scalar scan, so a result does not
-    depend on the other maps in the batch; a batch of one-mode maps with no
-    cosine weight (every Arnold slice) steps by c + cb sin(2 pi y), the
-    scalar loop's sine-only step, and any other batch by `_batch_mode_sum`.
+    The `_sine_only` maps walk together, one array entry per map, each
+    stepped by the scalar scan's sine-only step c + cb sin(2 pi y): the base
+    points are reduced to [0, 1) once, and the burn-in and the return scan
+    both step that reduced orbit, as the scalar walk does (it floors every
+    step, where a floor(y) of 0 subtracts exactly), so a result does not
+    depend on the other maps in the batch.  Every other map takes the
+    scalar scan, one by one.
 
     Each map's return state lives in arrays indexed by map, as
     `_ReturnScan.offer` would keep it: the side thresholds (best |e| times
@@ -372,8 +360,7 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     at depth + 2 overall returns.  A step updates the maps whose return beats
     a threshold with masked array operations; Python sees only a locked map
     (|e| < RATIONAL_TOL) and the maps that leave.  The estimates are built
-    once, at the end, by `_estimate_from`.  Degree-0 maps take the exact
-    closed-form scan one by one.
+    once, at the end, by `_estimate_from`.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -384,7 +371,7 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     out: list = [None] * len(maps)
     live = []
     for i, f in enumerate(maps):
-        if f.degree:
+        if _sine_only(f):
             live.append(i)
             continue
         try:
@@ -395,25 +382,14 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     if not live:
         return out
     ids = np.array(live)
-    kmax = max(maps[i].degree for i in live)
     c = np.array([maps[i].mean_shift for i in live])
-    ca = np.zeros((kmax, ids.size))
-    cb = np.zeros((kmax, ids.size))
-    for j, i in enumerate(live):
-        for k, (_, a, b) in enumerate(maps[i]._scalar_modes):
-            ca[k, j], cb[k, j] = a, b
-    if kmax == 1 and not ca.any():
-        def mode_sum(y):  # reads c and cb as the walk narrows them
-            return c + cb[0] * np.sin(TWO_PI * y)
-    else:
-        def mode_sum(y):
-            return _batch_mode_sum(c, ca, cb, y)
+    cb = np.array([maps[i]._scalar_modes[0][2] for i in live])
     y = np.array([float(x0s[i]) for i in live])
     y -= np.floor(y)
     for _ in range(burn_in):
-        y += mode_sum(y)
+        y += c + cb * np.sin(TWO_PI * y)
         y -= np.floor(y)
-    y0 = y - np.floor(y)
+    y0 = y - np.floor(y)  # 1.0 from -1e-17: reduce again, as the scalar scan
     y, w = y0.copy(), np.zeros_like(y0)
     thr_pos = np.full_like(y0, math.inf)
     thr_neg = np.full_like(y0, math.inf)
@@ -426,7 +402,7 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
     chain_q, chain_p, chain_e = (np.zeros((stop_at, len(maps)))
                                  for _ in range(3))
     for q in range(1, n_max + 1):
-        y += mode_sum(y)
+        y += c + cb * np.sin(TWO_PI * y)
         k = np.floor(y)
         y -= k
         w += k
@@ -460,7 +436,7 @@ def closest_return_batch(maps, x0s, depth: int = 12, n_max: int = 100000,
             out[int(i[j])] = PeriodicOrbitDetected(q, int(p[j]), float(eh[j]))
         keep = np.ones(ids.size, bool)
         keep[hit[done]] = False
-        ids, c, ca, cb = ids[keep], c[keep], ca[:, keep], cb[:, keep]
+        ids, c, cb = ids[keep], c[keep], cb[keep]
         y, y0, w = y[keep], y0[keep], w[keep]
         thr_pos, thr_neg = thr_pos[keep], thr_neg[keep]
         if not ids.size:

@@ -248,6 +248,7 @@ def test_validate_bounds_every_count_a_runner_rejects(cmd, section, key, value,
     ("bootstrap", {"bootstrap": {"r": 2.5, "sigma": 0.5}},
      "bootstrap.r: window empty, needs r > 2 + sigma"),
     ("nope", {}, "unknown subcommand 'nope'"),
+    ("tongue-scan", {"scan": {"b_min": -1.2}}, "scan.b_min: must stay above -1"),
 ])
 def test_validate_names_each_violation(tmp_path, capsys, cmd, cfg, message):
     path = write_cfg(tmp_path, "c.json", cfg)
@@ -302,6 +303,15 @@ def test_sections_of_other_subcommands_are_not_checked():
            "kam": {"max_steps": 1}, "tune": {"strips": [0.01]},
            "scan": {"nu_0": 1}}
     assert validate_config("kam", cfg) == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_tongue_scan_needs_a_worker(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert main(["tongue-scan", "--config", str(CONFIGS / "tongue_scan.json"),
+                 "--out", str(out), "--workers", workers]) == 1
+    assert "config violation: --workers: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [[c] for c in cli._SPECS if c != "tongue-scan"]

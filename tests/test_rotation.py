@@ -11,9 +11,10 @@ from circlelab.circlemap import (AnalyticCircleMap, ArnoldFamily, evaluate,
 from circlelab.contfrac import ContinuedFraction
 from circlelab.errors import PeriodicOrbitDetected, TargetUnreachable
 from circlelab.rotation import (RATIONAL_TOL, _estimate_from, _ReturnScan,
-                                _scan_returns, _walk, closest_return_batch,
-                                closest_returns, eq_rot_check,
-                                quotients_from_returns, rho_interval,
+                                _scan_returns, _sine_only, _walk,
+                                closest_return_batch, closest_returns,
+                                eq_rot_check, quotients_from_returns,
+                                rho_interval,
                                 rotation_number_birkhoff,
                                 rotation_number_closest_return, tune_parameter)
 from circlelab.rotation import _N_CAP, ClosestReturn, _farey_width
@@ -161,6 +162,27 @@ def test_tune_names_a_target_no_scan_can_bracket():
     assert _farey_width(0.5 * (lo + hi), _N_CAP) == pytest.approx(1.5432e-9, rel=1e-4)
     with pytest.raises(TargetUnreachable, match="narrower than 1.54e-09"):
         tune_parameter(ArnoldFamily(0.3), cf, tol=1e-9)
+
+
+def test_tune_steers_past_locked_probes_to_a_typed_ending(monkeypatch):
+    # [0; 3, 500, 500, ...] sits 2.2e-4 below 1/3, whose tongue is wide at
+    # b = 0.9: the probes lock on period-3 orbits, each steering the bracket
+    # by its p/q, until the bracket collapses with no certificate
+    locked = []
+    real = rotation_module._probe
+
+    def probe(*args):
+        try:
+            return real(*args)
+        except PeriodicOrbitDetected as po:
+            locked.append(po.q)
+            raise
+
+    monkeypatch.setattr(rotation_module, "_probe", probe)
+    with pytest.raises(TargetUnreachable, match="parameter bracket collapsed"):
+        tune_parameter(ArnoldFamily(0.9), ContinuedFraction.periodic([3, 500]),
+                       tol=1e-9)
+    assert locked == [3] * 7
 
 
 def test_monotone_in_parameter():
@@ -435,20 +457,44 @@ def _kind(r) -> str:
     return "locked" if isinstance(r, PeriodicOrbitDetected) else r.method
 
 
+def _cosine_maps(seed: int, n: int) -> tuple:
+    """Seeded maps of degree 1 whose mode has a cosine weight (a real
+    v_hat(1)), which `_sine_only` refuses, and base points; every other one
+    sits near the tongue of rho = 0."""
+    rng = random.Random(seed)
+    maps = [AnalyticCircleMap(rng.uniform(-0.05, 0.05) if i % 2 else
+                              rng.random(), np.array([rng.uniform(0.0, 0.04)]))
+            for i in range(n)]
+    return maps, [rng.uniform(-2.0, 3.0) for _ in range(n)]
+
+
 @pytest.mark.parametrize("depth, n_max, burn_in", [(24, 400, 128), (3, 300, 0)])
 def test_closest_return_batch_equals_per_cell_scans(depth, n_max, burn_in):
     maps, x0s = _mixed_maps(5, 150)
+    cos_maps, cos_x0s = _cosine_maps(8, 30)
+    maps, x0s = maps + cos_maps, x0s + cos_x0s
     ref = _per_cell(maps, x0s, depth, n_max, burn_in)
     got = closest_return_batch(maps, x0s, depth, n_max, burn_in)
     assert [_outcome(r) for r in got] == [_outcome(r) for r in ref]
     assert {_kind(r) for r in ref} == {"closest_return", "birkhoff", "locked"}
     assert {f.degree for f in maps} == {0, 1, 2}
+    cosine = {_kind(r) for f, r in zip(maps, ref)
+              if f.degree == 1 and not _sine_only(f)}
+    assert "closest_return" in cosine
     if burn_in:  # the burnt-in base points sit on attracting cycles
         assert {(f.degree, _kind(r)) for f, r in zip(maps, ref)} >= {
             (d, "locked") for d in (0, 1, 2)}
+        assert "locked" in cosine
     if depth == 3:  # the depth + 2 stop rule ends some scans early
         deep = _per_cell(maps, x0s, 24, n_max, burn_in)
         assert any(_outcome(a) != _outcome(b) for a, b in zip(ref, deep))
+    # the other maps of the batch (rotations, cosine weights, degree 2) do
+    # not move an Arnold map's result
+    arnold = [i for i, f in enumerate(maps) if _sine_only(f)]
+    alone = closest_return_batch([maps[i] for i in arnold],
+                                 [x0s[i] for i in arnold], depth, n_max,
+                                 burn_in)
+    assert [_outcome(r) for r in alone] == [_outcome(got[i]) for i in arnold]
 
 
 def _arnold_maps(seed: int, n: int) -> tuple:
@@ -463,16 +509,25 @@ def _arnold_maps(seed: int, n: int) -> tuple:
 
 @pytest.mark.parametrize("depth", [24, 3])
 def test_arnold_batch_takes_the_sine_only_step(monkeypatch, depth):
-    # a batch of Arnold maps has no cosine weight, so it steps by the scalar
-    # loop's sine-only step and never sums modes; its results are the
-    # per-cell scans'
+    # a batch of Arnold maps walks every sine-only map in its arrays: the
+    # scalar scan runs on one only for its Birkhoff fallback.  Its results
+    # are the per-cell scans'
     maps, x0s = _arnold_maps(3, 150)
     ref = _per_cell(maps, x0s, depth, 400, 128)
-    sums = []
-    monkeypatch.setattr(rotation_module, "_batch_mode_sum",
-                        lambda *args: sums.append(1))
+    scans = []
+    real = rotation_module._scan_returns
+
+    def scan(f, x0, n_max, stop, rational_tol, *args):
+        if _sine_only(f):
+            scans.append((f, x0, n_max, rational_tol))
+        return real(f, x0, n_max, stop, rational_tol, *args)
+
+    monkeypatch.setattr(rotation_module, "_scan_returns", scan)
     got = closest_return_batch(maps, x0s, depth, 400, 128)
-    assert not sums
+    monkeypatch.undo()
+    fallback = [(f, x0, 400, 0.0) for f, x0, r in zip(maps, x0s, got)
+                if _sine_only(f) and _kind(r) == "birkhoff"]
+    assert fallback and scans == fallback
     assert [_outcome(r) for r in got] == [_outcome(r) for r in ref]
     assert {_kind(r) for r in ref} == {"closest_return", "birkhoff", "locked"}
     assert {(f.degree, _kind(r)) for f, r in zip(maps, ref)} >= {
@@ -483,13 +538,13 @@ def test_arnold_batch_takes_the_sine_only_step(monkeypatch, depth):
 
 
 def test_closest_return_batch_builds_no_per_return_record(monkeypatch):
-    # the batch keeps its return state in arrays: no map of degree >= 1 is
+    # the batch keeps its return state in arrays: no sine-only map is
     # offered a return, and records are built only for the overall-return
     # chain of each estimate.  The only offers and records left are those of
     # the Birkhoff fallback's plain walks, counted apart below.
     depth, n_max = 24, 400
     maps, x0s = _mixed_maps(5, 150)
-    maps, x0s = zip(*[(f, x0) for f, x0 in zip(maps, x0s) if f.degree])
+    maps, x0s = zip(*[(f, x0) for f, x0 in zip(maps, x0s) if _sine_only(f)])
     offers, records = [], []
     real_offer, real_record = _ReturnScan.offer, rotation_module.ClosestReturn
 

@@ -10,12 +10,15 @@ run prints its exit code and one sha256 per stream and output file:
 
 The runs are every subcommand and `validate` on every `configs/*.json`,
 plus edge inputs: a locked map, a `kam` map not tuned to its target, a
-`kam` run near b = 1 (b = 0.97, tuned to sqrt 2 - 1), two
-rotations, a finite fraction, an `exp_round` tower, a count-bound violation,
-a small seeded tongue grid, the sample tongue grid split over two worker
-processes (two seeds), `bootstrap`, and classify runs on golden and the
-tower at `brjuno_depth` 30 (not the H check's depth) and at `h_m_max` 4 with
-`h_k_max` 8 (a non-default end of the H check's Brjuno windows).  The last
+`kam` run near b = 1 (b = 0.97, tuned to sqrt 2 - 1), two rotations, a
+finite fraction, an `exp_round` tower, a count-bound violation, a small
+seeded tongue grid, `rotnum` on a degree-1 map with a cosine weight, a
+tongue grid over b in [-0.5, 0.5] (negative b and b = 0 cells), a
+`scan.b_min` below -1 (run and `validate`), `tongue-scan --workers 0`, the
+sample tongue grid split over two worker processes (two seeds),
+`bootstrap`, and classify runs on golden and the tower at `brjuno_depth`
+30 (not the H check's depth) and at `h_m_max` 4 with `h_k_max` 8 (a
+non-default end of the H check's Brjuno windows).  The last
 line hashes the classify JSON of the `arith` mix of `perfbench/workloads.py`
 (8 seeds x 3 rounds x 7 kinds) and both classify configs.  Run it on two
 trees and diff the records: equal records mean byte-identical runs.
@@ -73,6 +76,16 @@ EXTRA = [
       "rotnum": {"n": 0, "burn_in": -1}}),
     ("small-tongue", ["tongue-scan", "--seed", "42"],
      {"scan": {"na": 5, "nb": 4, "n_max": 300}}),
+    ("cosine-rotnum", ["rotnum"],
+     {"map": {"c": 0.3, "modes": [{"k": 1, "re": 0.02, "im": 0.0}]}}),
+    ("negative-b-tongue", ["tongue-scan", "--seed", "3"],
+     {"scan": {"na": 6, "nb": 5, "b_min": -0.5, "b_max": 0.5, "n_max": 300}}),
+    ("b-min-violation", ["tongue-scan"], {"scan": {"b_min": -1.2}}),
+    ("validate-b-min-violation", ["validate", "tongue-scan"],
+     {"scan": {"b_min": -1.2}}),
+    ("workers0-tongue",
+     ["tongue-scan", "--config", str(ROOT / "configs" / "tongue_scan.json"),
+      "--workers", "0"], None),
 ] + [
     (f"tongue-workers2-seed{seed}",
      ["tongue-scan", "--config", str(ROOT / "configs" / "tongue_scan.json"),
