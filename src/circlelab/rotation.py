@@ -19,7 +19,9 @@ so a return error at q ~ 10^6 carries the rounding of a number in [0, 1)
 (~1e-16 per step) rather than that of the lift, which has grown to ~q.  Its
 inner loop is plain float arithmetic with the map's mode sum inlined: a
 sine-only map (`_sine_only`: every Arnold map) steps by one sine, and floor
-runs only on the steps where y leaves [0, 1), since floor(y) is 0 inside.
+runs only on the steps where y leaves [0, 2), since floor(y) is 0 or 1 there.
+A step whose y lies in a quiet window, where no return can beat its side's
+best, ends on that one test.
 
 Many short scans of sine-only maps, such as the cells of a tongue picture,
 run as one batch (`closest_return_batch`): each orbit is one entry of a
@@ -49,6 +51,7 @@ _IMPROVE = 1.0 - 1e-12  # factor by which a return must beat its side's best
 _CHUNK = 1 << 16
 _STALL = 64  # stall guard of rho_interval and _probe (see _scan_returns)
 _N_CAP = 8_000_000  # orbit cap of rho_interval and _probe
+_QUIET_GUARD = 2.0 ** -50  # covers the rounding of y - y0 and window ends
 
 
 @dataclass(frozen=True)
@@ -167,15 +170,30 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
     with f^q(x0) = floor(x0) + w + y.  Each step adds the mode sum to y and,
     when y has left [0, 1), moves floor(y) into w (inside it floor(y) is 0).
     y leaves on a share ~rho of the steps (62% of a golden scan, 41% of a
-    sqrt 2 - 1 one), so floor is skipped on the rest.  Reduced, y keeps the
-    absolute precision of a number in [0, 1) at every q, where the unreduced
-    lift (of size ~q) rounds at ~q * 1e-16 per step.  The return error
-    e = f^q(x0) - x0 - p is y - y0 wrapped to [-1/2, 1/2), a difference that
-    is exact at a close return (both lie in [0, 1)), and p is w plus the
-    wrap.  The mode sum is inlined, and a `_sine_only` map steps by
-    c + cb*sin(t).  The return state is offered only returns it may record:
-    beating their side's best by its rule (the loop), or their side's strict
-    running minimum (a rotation's closed-form chunk).
+    sqrt 2 - 1 one), so floor is skipped on the rest; and when y lands in
+    [1, 2), where floor(y) is exactly 1, the step subtracts 1.0 and adds 1
+    to w without calling floor.  Reduced, y keeps the absolute precision of
+    a number in [0, 1) at every q, where the unreduced lift (of size ~q)
+    rounds at ~q * 1e-16 per step.  The return error e = f^q(x0) - x0 - p is
+    y - y0 wrapped to [-1/2, 1/2), a difference that is exact at a close
+    return (both lie in [0, 1)), and p is w plus the wrap.  The mode sum is
+    inlined, and a `_sine_only` map steps by c + cb*sin(t).  The return
+    state is offered only returns it may record: beating their side's best
+    by its rule (the loop), or their side's strict running minimum (a
+    rotation's closed-form chunk).
+
+    The loop skips that rule on the steps where no return can be recorded.
+    With thresholds thr_pos and thr_neg (each side's best |e| times
+    _IMPROVE), e escapes both exactly when y lies on the circle arc from
+    y0 + thr_pos to y0 + 1 - thr_neg, which in [0, 1) is two quiet windows,
+    [y0 - 1 + thr_pos + g, y0 - thr_neg - g] and
+    [y0 + thr_pos + g, y0 + 1 - thr_neg - g], set after each recorded
+    return.  g = _QUIET_GUARD (2^-50) exceeds the rounding of y - y0 and of
+    the window ends (a few 2^-53), so a y inside a window fails the exact
+    test too, and the step goes on at once; every other step runs that test.
+    While a side has no return its threshold is inf and both windows are
+    empty, so every step is tested.  The records, the estimates and the end
+    state are those of the walk that tests every step.
 
     With stall_factor set, the walk also gives up once the orbit has run
     stall_factor times past the last recorded return: return gaps are
@@ -224,6 +242,8 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
     cos, sin, floor = math.cos, math.sin, math.floor
     y, w = y0, 0
     thr_pos = thr_neg = math.inf
+    lo1 = lo2 = math.inf  # the quiet windows [lo1, hi1] and [lo2, hi2]:
+    hi1 = hi2 = -math.inf  # empty while a side has no return
     q = 0
     while q < stall_q:
         for q in range(q + 1, stall_q + 1):
@@ -235,10 +255,20 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
                     t = k2p * y
                     s += ca * cos(t) + cb * sin(t)
                 y += s
-            if not 0.0 <= y < 1.0:  # in [0, 1), floor(y) is 0: nothing moves
+            if y >= 1.0:
+                if y < 2.0:  # floor(y) is 1
+                    y -= 1.0
+                    w += 1
+                else:
+                    k = floor(y)
+                    y -= k
+                    w += k
+            elif not y >= 0.0:  # below 0, or NaN; in [0, 1) nothing moves
                 k = floor(y)
                 y -= k
                 w += k
+            if lo2 <= y <= hi2 or lo1 <= y <= hi1:
+                continue  # e cannot beat its side's threshold
             d = y - y0
             e = d
             if e >= 0.5:
@@ -254,6 +284,10 @@ def _scan_returns(f: AnalyticCircleMap, x0: float, n_max: int,
             scan.offer(q, p, e)  # records: e beat its side's threshold
             thr_pos = scan.best_pos * _IMPROVE
             thr_neg = scan.best_neg * _IMPROVE
+            lo1 = y0 - 1.0 + thr_pos + _QUIET_GUARD
+            hi1 = y0 - thr_neg - _QUIET_GUARD
+            lo2 = y0 + thr_pos + _QUIET_GUARD
+            hi2 = y0 + 1.0 - thr_neg - _QUIET_GUARD
             stall_q = stalled_at(q)
             if abs(e) < rational_tol:
                 raise PeriodicOrbitDetected(q, p, e)
@@ -466,6 +500,8 @@ def rho_interval(f: AnalyticCircleMap, eps: float) -> RotationEstimate:
     return falls back to a Birkhoff average of at most _N_CAP steps, whose
     error bound can be wider than eps.
     PeriodicOrbitDetected propagates."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
     scan = _scan_returns(f, 0.0, _N_CAP, lambda s: s.width() <= eps,
                          RATIONAL_TOL, _STALL)
     est = scan.estimate()

@@ -323,12 +323,14 @@ def test_scan_records_the_reference_returns(b, a):
     assert got == _RETURNS_REFERENCE[(b, a)]
 
 
-def _reference_walk(f, n: int) -> list:
-    """(q, p, err, overall) of every return in n steps from x0 = 0, walked
-    with the full mode loop (cosine term included) and an unconditional
-    floor on every step, every step offered to _ReturnScan.offer."""
+def _reference_walk(f, n: int, x0: float = 0.0) -> tuple:
+    """(q, p, err, overall) of every return in n steps from x0, walked with
+    the full mode loop (cosine term included) and an unconditional floor on
+    every step, every step offered to _ReturnScan.offer; and the end state
+    (disp, y).  e is y - y0 wrapped into [-1/2, 1/2), p is w plus the wrap."""
     scan = _ReturnScan()
-    y, w = 0.0, 0
+    y0 = x0 - math.floor(x0)
+    y, w = y0, 0
     for q in range(1, n + 1):
         s = f.mean_shift
         for k2p, ca, cb in f._scalar_modes:
@@ -338,14 +340,17 @@ def _reference_walk(f, n: int) -> list:
         k = math.floor(y)
         y -= k
         w += k
-        up = y >= 0.5  # y - y0 with y0 = 0 lies in [0, 1)
-        scan.offer(q, w + up, y - 1.0 if up else y)
-    return [(r.q, r.p, r.err, r.overall) for r in scan.returns]
+        d = y - y0
+        up, down = d >= 0.5, d < -0.5
+        scan.offer(q, w + up - down, d - 1.0 if up else d + 1.0 if down else d)
+    return ([(r.q, r.p, r.err, r.overall) for r in scan.returns],
+            (w + (y - y0), y))
 
 
-def _records(f, n: int) -> list:
-    scan = _scan_returns(f, 0.0, n, lambda s: False, RATIONAL_TOL)
-    return [(r.q, r.p, r.err, r.overall) for r in scan.returns]
+def _records(f, n: int, x0: float = 0.0) -> tuple:
+    scan = _scan_returns(f, x0, n, lambda s: False, RATIONAL_TOL)
+    return ([(r.q, r.p, r.err, r.overall) for r in scan.returns],
+            (scan.disp, scan.y))
 
 
 def test_long_scan_equals_the_reference_walk(arnold_b005_golden):
@@ -354,18 +359,26 @@ def test_long_scan_equals_the_reference_walk(arnold_b005_golden):
         arnold_b005_golden, 196418)
 
 
-@pytest.mark.parametrize("f", [
-    ArnoldFamily(0.3).map_at(-0.4),  # y leaves [0, 1) below on 40% of steps
-    ArnoldFamily(0.3).map_at(-1.4),  # below on every step
-    ArnoldFamily(0.3).map_at(2.3),   # above on every step
-    AnalyticCircleMap(0.6, np.array([0.01 + 0.02j])),  # nonzero cosine weight
-    AnalyticCircleMap(0.41, np.array([0.012 - 0.004j, 0.003 + 0.002j])),
-], ids=["arnold_a-0.4", "arnold_a-1.4", "arnold_a2.3", "one_mode_cos",
-        "degree2"])
-def test_scan_equals_the_reference_walk(f):
-    got = _records(f, 50000)
-    assert len(got) > 30
-    assert got == _reference_walk(f, 50000)
+_REFERENCE_MAPS = [
+    ("arnold_a-0.4", ArnoldFamily(0.3).map_at(-0.4)),  # below [0, 1) on 40%
+    ("arnold_a-1.4", ArnoldFamily(0.3).map_at(-1.4)),  # below on every step
+    ("arnold_a2.3", ArnoldFamily(0.3).map_at(2.3)),    # above on every step
+    ("one_mode_cos", AnalyticCircleMap(0.6, np.array([0.01 + 0.02j]))),
+    ("degree2", AnalyticCircleMap(0.41, np.array([0.012 - 0.004j,
+                                                  0.003 + 0.002j]))),
+]
+# a base point y0 off 0 splits the steps that can record no return into two
+# windows of [0, 1), one on each side of y0; 1 - 2**-53 puts y0 at the top
+_REFERENCE_X0 = [0.0, 0.37, 0.5, 0.9999999, 1.0 - 2.0 ** -53, -0.25]
+
+
+@pytest.mark.parametrize("f, x0", [
+    pytest.param(f, x0, id=name if x0 == 0.0 else f"{name}-x0={x0!r}")
+    for name, f in _REFERENCE_MAPS for x0 in _REFERENCE_X0])
+def test_scan_equals_the_reference_walk(f, x0):
+    got = _records(f, 50000, x0)
+    assert len(got[0]) > 30
+    assert got == _reference_walk(f, 50000, x0)
 
 
 def _rotation_reference(c: float, n: int, stop) -> _ReturnScan:
@@ -605,6 +618,15 @@ def test_rho_interval_takes_f_and_eps_only():
     # argument is an error, not a cap
     with pytest.raises(TypeError):
         rho_interval(ArnoldFamily(0.3).map_at(0.61), 1e-6, 400000)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-6, math.nan])
+def test_rho_interval_needs_a_positive_eps(eps):
+    # no bracket is narrower than 0: eps = 0 would walk to the stall guard,
+    # or divide by zero in the Birkhoff fallback
+    for f in (ArnoldFamily(0.3).map_at(0.61), rotation(1e-9)):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            rho_interval(f, eps)
 
 
 def test_rho_interval_falls_back_to_birkhoff_past_the_orbit_cap():

@@ -16,9 +16,12 @@ seeded tongue grid, `rotnum` on a degree-1 map with a cosine weight, a
 tongue grid over b in [-0.5, 0.5] (negative b and b = 0 cells), a
 `scan.b_min` below -1 (run and `validate`), `tongue-scan --workers 0`, the
 sample tongue grid split over two worker processes (two seeds),
-`bootstrap`, and classify runs on golden and the tower at `brjuno_depth`
-30 (not the H check's depth) and at `h_m_max` 4 with `h_k_max` 8 (a
-non-default end of the H check's Brjuno windows).  The last
+`bootstrap`, the two tunes of the `tune` workload (b = 0.05 to golden,
+b = 0.3 to sqrt 2 - 1, tol 1e-11), `rotnum` from x0 = 0.37 after a 500-step
+burn-in (a return scan from a base point off 0), and classify runs on
+golden and the tower at `brjuno_depth` 30 (not the H check's depth) and at
+`h_m_max` 4 with `h_k_max` 8 (a non-default end of the H check's Brjuno
+windows).  The last
 line hashes the classify JSON of the `arith` mix of `perfbench/workloads.py`
 (8 seeds x 3 rounds x 7 kinds) and both classify configs.  Run it on two
 trees and diff the records: equal records mean byte-identical runs.
@@ -93,6 +96,15 @@ EXTRA = [
     for seed in (7, 42)
 ] + [
     ("bootstrap-flags", ["bootstrap"], {"bootstrap": {"r": 4.0, "steps": 12}}),
+    ("tune-golden-b005", ["tune"],
+     {"target": GOLDEN, "family": {"kind": "arnold", "b": 0.05},
+      "tune": {"tol": 1e-11}}),
+    ("tune-sqrt2-b03", ["tune"],
+     {"target": SQRT2, "family": {"kind": "arnold", "b": 0.3},
+      "tune": {"tol": 1e-11}}),
+    ("x0-burn-in-rotnum", ["rotnum"],
+     {"map": {"family": {"kind": "arnold", "a": 0.61, "b": 0.3}},
+      "rotnum": {"x0": 0.37, "burn_in": 500}}),
 ] + [
     (f"{name}-classify-{tag}", ["classify"], {"target": target, "classify": c})
     for name, target in (("golden", GOLDEN), ("tower", TOWER))
